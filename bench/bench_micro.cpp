@@ -95,30 +95,12 @@ BENCHMARK(BM_EventQueuePushPop)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
-void BM_MaxMinFairRates(benchmark::State& state) {
-  const std::size_t num_flows = static_cast<std::size_t>(state.range(0));
-  const std::size_t num_nodes = 100;
-  Rng rng(2);
-  std::vector<std::vector<std::size_t>> flow_links(num_flows);
-  for (auto& links : flow_links) {
-    links = {rng.index(num_nodes), num_nodes + rng.index(num_nodes)};
-  }
-  std::vector<double> capacity(2 * num_nodes, 1e9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::MaxMinFairRates(flow_links, capacity));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(num_flows));
-}
-BENCHMARK(BM_MaxMinFairRates)->Arg(16)->Arg(128)->Arg(512);
-
-/// One rate solve at scale: the persistent heap solver (`incremental:1`)
-/// against the from-scratch progressive-filling scan (`incremental:0`) over
-/// the same random flow set.  Compare the time columns row-pairwise; the
-/// label carries the per-solve work counters that explain the gap.
+/// One full rate solve at scale over a random flow set: every flow is
+/// re-added each iteration, so the whole flow set is one dirty solve.  The
+/// label carries the per-solve work counters.
 void BM_MaxMinRecompute(benchmark::State& state) {
   const std::size_t num_nodes = static_cast<std::size_t>(state.range(0));
   const std::size_t num_flows = static_cast<std::size_t>(state.range(1));
-  const bool incremental = state.range(2) != 0;
   Rng rng(2);
   std::vector<std::vector<std::size_t>> flow_links(num_flows);
   for (auto& links : flow_links) {
@@ -139,19 +121,19 @@ void BM_MaxMinRecompute(benchmark::State& state) {
     solver.add_flow(f, flow_links[f].data(), flow_links[f].size());
   }
   std::vector<double> rates;
+  net::SolveDelta delta;
   net::SolveCounters counters;
-  if (incremental) {
-    for (auto _ : state) {
-      counters = {};
-      solver.solve(rates, &counters);
-      benchmark::DoNotOptimize(rates.data());
+  solver.solve(rates, delta);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t f = 0; f < num_flows; ++f) solver.remove_flow(f);
+    for (std::size_t f = 0; f < num_flows; ++f) {
+      solver.add_flow(f, flow_links[f].data(), flow_links[f].size());
     }
-  } else {
-    for (auto _ : state) {
-      counters = {};
-      benchmark::DoNotOptimize(
-          net::MaxMinFairRates(flow_links, capacity, &counters));
-    }
+    state.ResumeTiming();
+    counters = {};
+    solver.solve(rates, delta, &counters);
+    benchmark::DoNotOptimize(rates.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(num_flows));
@@ -160,11 +142,9 @@ void BM_MaxMinRecompute(benchmark::State& state) {
                  " flows_scanned=" + std::to_string(counters.flows_scanned));
 }
 BENCHMARK(BM_MaxMinRecompute)
-    ->ArgNames({"nodes", "flows", "incremental"})
-    ->Args({100, 1000, 1})
-    ->Args({100, 1000, 0})
-    ->Args({1000, 10000, 1})
-    ->Args({1000, 10000, 0})
+    ->ArgNames({"nodes", "flows"})
+    ->Args({100, 1000})
+    ->Args({1000, 10000})
     ->Unit(benchmark::kMillisecond);
 
 /// Scoped re-solve after a single-flow churn event, the component
@@ -173,14 +153,11 @@ BENCHMARK(BM_MaxMinRecompute)
 /// extreme), `shared_core:1` threads every flow through one core link (one
 /// giant component — the degenerate case where partitioning must cost
 /// nothing).  Each iteration retires one flow, starts an identical one and
-/// solves; `partitioned:1` re-solves only the dirtied component while
-/// `partitioned:0` re-solves the world.  The label's per-solve counters are
-/// the acceptance metric (flows_scanned/solve must drop >= 5x on the
-/// disjoint 10k row).
+/// solves, re-solving only the dirtied component.  The label's per-solve
+/// counters show the scoped work.
 void BM_ComponentSolve(benchmark::State& state) {
   const std::size_t num_flows = static_cast<std::size_t>(state.range(0));
   const bool shared_core = state.range(1) != 0;
-  const bool partitioned = state.range(2) != 0;
   const std::size_t num_nodes = 2 * num_flows;  // disjoint src/dst per flow
   std::vector<double> capacity(2 * num_nodes + 1);
   for (std::size_t i = 0; i < num_nodes; ++i) {
@@ -191,7 +168,7 @@ void BM_ComponentSolve(benchmark::State& state) {
       shared_core ? units::Gbps(400.0) : 0.0;  // unused when not shared
 
   net::MaxMinFairSolver solver;
-  solver.reset_links(capacity, partitioned);
+  solver.reset_links(capacity);
   std::vector<std::vector<std::size_t>> flow_links(num_flows);
   for (std::size_t f = 0; f < num_flows; ++f) {
     flow_links[f] = {2 * f, num_nodes + 2 * f + 1};
@@ -202,7 +179,7 @@ void BM_ComponentSolve(benchmark::State& state) {
   net::SolveCounters counters;
   net::SolveDelta delta;
   // Warm solve: afterwards every component is clean.
-  solver.solve(rates, &counters, partitioned ? &delta : nullptr);
+  solver.solve(rates, delta, &counters);
 
   counters = {};
   std::uint64_t solves = 0;
@@ -211,7 +188,7 @@ void BM_ComponentSolve(benchmark::State& state) {
     solver.remove_flow(victim);
     solver.add_flow(victim, flow_links[victim].data(),
                     flow_links[victim].size());
-    solver.solve(rates, &counters, partitioned ? &delta : nullptr);
+    solver.solve(rates, delta, &counters);
     benchmark::DoNotOptimize(rates.data());
     victim = (victim + 1) % num_flows;
     ++solves;
@@ -224,27 +201,20 @@ void BM_ComponentSolve(benchmark::State& state) {
       " dirty_per_solve=" + std::to_string(counters.components_dirty / solves));
 }
 BENCHMARK(BM_ComponentSolve)
-    ->ArgNames({"flows", "shared_core", "partitioned"})
-    ->Args({1000, 0, 1})
-    ->Args({1000, 0, 0})
-    ->Args({1000, 1, 1})
-    ->Args({1000, 1, 0})
-    ->Args({10000, 0, 1})
-    ->Args({10000, 0, 0})
-    ->Args({10000, 1, 1})
-    ->Args({10000, 1, 0})
+    ->ArgNames({"flows", "shared_core"})
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1})
     ->Unit(benchmark::kMicrosecond);
 
 /// End-to-end network path under shuffle fan-out: bursts of `fan_in` flows
 /// converge on one destination per burst, all started in a single event —
-/// the Application's shuffle pattern at scale.  `incremental:1` is the
-/// batched + heap-solver path, `incremental:0` the recompute-per-change
-/// reference.  The label's NetStats counters show where the speedup comes
-/// from: solves batched away and sub-linear per-solve link work.
+/// the Application's shuffle pattern at scale.  The label's NetStats
+/// counters show the solves batched away and the per-solve link work.
 void BM_NetworkShuffleFanOut(benchmark::State& state) {
   const std::size_t num_nodes = static_cast<std::size_t>(state.range(0));
   const std::size_t num_flows = static_cast<std::size_t>(state.range(1));
-  const bool incremental = state.range(2) != 0;
   const std::size_t fan_in = std::min<std::size_t>(num_nodes - 1, 100);
   const std::size_t bursts = num_flows / fan_in;
   std::uint64_t recomputes_run = 0;
@@ -254,8 +224,6 @@ void BM_NetworkShuffleFanOut(benchmark::State& state) {
     sim::Simulator sim;
     net::NetworkConfig config;
     config.num_nodes = num_nodes;
-    config.incremental = incremental;
-    config.component_partitioned = incremental;
     net::Network network(sim, config);
     Rng rng(9);
     std::size_t completed = 0;
@@ -291,11 +259,9 @@ void BM_NetworkShuffleFanOut(benchmark::State& state) {
                  " links_scanned=" + std::to_string(links_scanned));
 }
 BENCHMARK(BM_NetworkShuffleFanOut)
-    ->ArgNames({"nodes", "flows", "incremental"})
-    ->Args({100, 1000, 1})
-    ->Args({100, 1000, 0})
-    ->Args({1000, 10000, 1})
-    ->Args({1000, 10000, 0})
+    ->ArgNames({"nodes", "flows"})
+    ->Args({100, 1000})
+    ->Args({1000, 10000})
     ->Unit(benchmark::kMillisecond);
 
 std::vector<core::MatchEdge> RandomEdges(int nl, int nr, double density,
@@ -363,7 +329,7 @@ void BM_DinicMaxFlow(benchmark::State& state) {
 BENCHMARK(BM_DinicMaxFlow)->Arg(100)->Arg(1000);
 
 /// Everything one allocation round consumes, pre-built outside the timed
-/// loop so indexed and reference runs see identical inputs.
+/// loop.
 struct AllocationRoundInstance {
   std::vector<std::vector<NodeId>> locations;
   std::vector<core::ExecutorInfo> idle;
@@ -427,24 +393,27 @@ AllocationRoundInstance MakeAllocationRound(std::size_t num_nodes,
   return inst;
 }
 
+/// Rounds over a persistent idle index loaded once with the instance's
+/// idle set; round views leave it untouched, so every iteration replays
+/// the identical round.
 void RunAllocationRoundBench(benchmark::State& state,
                              const AllocationRoundInstance& inst,
-                             bool indexed) {
-  core::AllocatorOptions options;
-  options.indexed = indexed;
+                             std::size_t num_nodes) {
+  core::IdleExecutorIndex index(inst.idle.size(), num_nodes);
+  for (const core::ExecutorInfo& info : inst.idle) {
+    index.add(info.id, info.node);
+  }
   const auto locate = inst.locate();
   std::uint64_t grants = 0;
   std::uint64_t scanned = 0;
   for (auto _ : state) {
     const auto result =
-        core::CustodyAllocator::Allocate(inst.demands, inst.idle, locate,
-                                         options);
+        core::CustodyAllocator::AllocateOnIndex(inst.demands, index, locate);
     grants = result.stats.grants;
     scanned = result.stats.executors_scanned;
     benchmark::DoNotOptimize(result);
   }
-  // items/s == executor grants/s: the comparable ops/sec column between
-  // the indexed and reference rows at each scale.
+  // items/s == executor grants/s.
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(grants));
   state.SetLabel(std::to_string(inst.idle.size()) + " execs, " +
@@ -456,31 +425,26 @@ void RunAllocationRoundBench(benchmark::State& state,
 /// A full Custody allocation round at paper scale: 100 nodes, 200
 /// executors, 4 applications with a handful of pending jobs each.
 void BM_CustodyAllocationRound(benchmark::State& state) {
-  const auto inst = MakeAllocationRound(
-      static_cast<std::size_t>(state.range(0)), 4, 4);
-  RunAllocationRoundBench(state, inst, /*indexed=*/true);
+  const auto num_nodes = static_cast<std::size_t>(state.range(0));
+  const auto inst = MakeAllocationRound(num_nodes, 4, 4);
+  RunAllocationRoundBench(state, inst, num_nodes);
 }
 BENCHMARK(BM_CustodyAllocationRound)->Arg(25)->Arg(100);
 
 /// Allocation rounds at production scale — 1k/5k/10k executors, 8 apps,
 /// pending tasks ~ 4x the pool (a contended round: every executor is
-/// granted and most tasks stay unsatisfied).  The `indexed:1` rows use the node-
-/// indexed pool + incremental min-locality tracker; `/indexed/0` is the
-/// seed's linear-scan reference path.  Compare items_per_second (executor
-/// grants per second) between the two rows at the same executor count.
+/// granted and most tasks stay unsatisfied).  items_per_second is executor
+/// grants per second.
 void BM_AllocationRoundAtScale(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
   const auto inst = MakeAllocationRound(execs / 2, 8, execs / 96);
-  RunAllocationRoundBench(state, inst, state.range(1) != 0);
+  RunAllocationRoundBench(state, inst, execs / 2);
 }
 BENCHMARK(BM_AllocationRoundAtScale)
-    ->ArgNames({"execs", "indexed"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
+    ->ArgNames({"execs"})
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 /// A steady-state round instance: demand FIXED (4 apps x one 8-task job,
@@ -526,43 +490,28 @@ AllocationRoundInstance MakeSteadyRound(std::size_t num_nodes) {
   return inst;
 }
 
-/// The PR-7 contract: with demand fixed, a demand-driven round over the
-/// persistent idle index (`demand_driven:1`, AllocateOnIndex) must cost
-/// the same at 10k executors as at 1k, while the reference path
-/// (`demand_driven:0`, per-round IdleExecutorPool rebuild over a
-/// materialized idle vector) scales with the pool.  Round views only stamp
-/// epochs, so every iteration replays an identical round against the
-/// untouched index — exactly what a steady-state manager does between
-/// releases.  Compare time per round down the `execs` column: the
-/// reference grows ~linearly, the index stays flat.
+/// With demand fixed, a round over the persistent idle index must cost the
+/// same at 100k executors as at 1k.  Round views only stamp epochs, so
+/// every iteration replays an identical round against the untouched index
+/// — exactly what a steady-state manager does between releases.  Time per
+/// round should stay flat down the `execs` column.
 void BM_DemandDrivenRound(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
-  const bool demand_driven = state.range(1) != 0;
   const std::size_t num_nodes = execs / 2;
   const auto inst = MakeSteadyRound(num_nodes);
   const auto locate = inst.locate();
   std::uint64_t grants = 0;
   std::uint64_t scanned = 0;
-  if (demand_driven) {
-    core::IdleExecutorIndex index(execs, num_nodes);
-    for (const core::ExecutorInfo& info : inst.idle) {
-      index.add(info.id, info.node);
-    }
-    for (auto _ : state) {
-      const auto result = core::CustodyAllocator::AllocateOnIndex(
-          inst.demands, index, locate);
-      grants = result.stats.grants;
-      scanned = result.stats.executors_scanned;
-      benchmark::DoNotOptimize(result);
-    }
-  } else {
-    for (auto _ : state) {
-      const auto result =
-          core::CustodyAllocator::Allocate(inst.demands, inst.idle, locate);
-      grants = result.stats.grants;
-      scanned = result.stats.executors_scanned;
-      benchmark::DoNotOptimize(result);
-    }
+  core::IdleExecutorIndex index(execs, num_nodes);
+  for (const core::ExecutorInfo& info : inst.idle) {
+    index.add(info.id, info.node);
+  }
+  for (auto _ : state) {
+    const auto result =
+        core::CustodyAllocator::AllocateOnIndex(inst.demands, index, locate);
+    grants = result.stats.grants;
+    scanned = result.stats.executors_scanned;
+    benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations());  // rounds per second
   state.SetLabel(std::to_string(inst.idle.size()) + " idle execs, " +
@@ -571,13 +520,10 @@ void BM_DemandDrivenRound(benchmark::State& state) {
                  std::to_string(scanned) + " candidates enumerated");
 }
 BENCHMARK(BM_DemandDrivenRound)
-    ->ArgNames({"execs", "demand_driven"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0})
+    ->ArgNames({"execs"})
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
 /// Everything the dispatch benches consume, pre-built outside the timed
@@ -611,7 +557,6 @@ struct DispatchInstance {
         task.state = app::TaskState::kReady;
         stage.tasks.push_back(task.id);
         index.task_ready(task);
-        tasks.emplace(task.id, task);
       }
       job->stages.push_back(std::move(stage));
       owned.push_back(std::move(job));
@@ -629,30 +574,22 @@ struct DispatchInstance {
   app::ReadyTaskIndex index;
   std::vector<std::unique_ptr<app::Job>> owned;
   std::vector<app::Job*> jobs;
-  app::TaskTable tasks;
 };
 
 /// One pick() decision for an idle executor on a node with no local ready
 /// work — the per-offer hot path while every job waits out its locality
-/// delay.  `indexed:1` is the ReadyTaskIndex path (two lookups per job);
-/// `indexed:0` is the seed full scan (a task-table probe plus a replica
-/// check per ready task).  Ready tasks ~ 4x the executor pool, the
-/// contended shape of the allocation-round bench.
+/// delay: two ReadyTaskIndex lookups per job.  Ready tasks ~ 4x the
+/// executor pool, the contended shape of the allocation-round bench.
 void BM_SchedulerPick(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
-  const bool indexed = state.range(1) != 0;
   const std::size_t num_jobs = std::max<std::size_t>(execs / 100, 4);
   const int tasks_per_job = static_cast<int>(4 * execs / num_jobs);
   DispatchInstance inst(8, num_jobs, tasks_per_job);
-  app::SchedulerConfig config;
-  config.indexed = indexed;
-  app::TaskScheduler scheduler(config, inst.dfs);
-  if (indexed) scheduler.attach_index(&inst.index);
+  app::TaskScheduler scheduler(app::SchedulerConfig{}, inst.dfs, inst.index);
   const NodeId offer_node(8);  // outside the data nodes: nothing is local
   std::optional<SimTime> retry_at;
   for (auto _ : state) {
-    auto pick =
-        scheduler.pick(offer_node, 0.0, inst.jobs, inst.tasks, retry_at);
+    auto pick = scheduler.pick(offer_node, 0.0, inst.jobs, retry_at);
     benchmark::DoNotOptimize(pick);
   }
   state.SetItemsProcessed(state.iterations());
@@ -662,13 +599,10 @@ void BM_SchedulerPick(benchmark::State& state) {
                  " ready tasks");
 }
 BENCHMARK(BM_SchedulerPick)
-    ->ArgNames({"execs", "indexed"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
+    ->ArgNames({"execs"})
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
 /// Stub manager: never grants, so jobs stay pending and every offer
@@ -685,11 +619,9 @@ class NullManager final : public cluster::ClusterManager {
 /// from a node holding none of the app's input blocks while all jobs sit
 /// in their delay-scheduling locality wait, so each offer is rejected
 /// after a full dispatch decision — the OfferManager's steady state on a
-/// contended cluster.  `indexed:0` rescans every task of every job per
-/// offer; `indexed:1` answers each job from the index.
+/// contended cluster.  Each job is answered from the ready index.
 void BM_OfferStorm(benchmark::State& state) {
   const std::size_t execs = static_cast<std::size_t>(state.range(0));
-  const bool indexed = state.range(1) != 0;
   const std::size_t num_nodes = execs / 2;
   const std::size_t data_nodes = 8;
   const std::size_t num_jobs = std::max<std::size_t>(execs / 100, 4);
@@ -709,7 +641,6 @@ void BM_OfferStorm(benchmark::State& state) {
   app::AppConfig app_config;
   app_config.dynamic_executors = false;
   app_config.locality_swap = false;
-  app_config.scheduler.indexed = indexed;
   app::Application application(AppId(0), sim, network, dfs, cluster, metrics,
                                ids, Rng(12), app_config);
   application.attach_manager(manager);
@@ -741,13 +672,10 @@ void BM_OfferStorm(benchmark::State& state) {
                  " ready tasks, all offers rejected");
 }
 BENCHMARK(BM_OfferStorm)
-    ->ArgNames({"execs", "indexed"})
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0})
+    ->ArgNames({"execs"})
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
 /// The span-tracing cost contract, end to end: one full experiment (500

@@ -124,13 +124,9 @@ int main(int argc, char** argv) {
                     "JCT mean (s)", "JCT p99 (s)"});
   // Runs one configuration and appends its table/CSV/JSON rows; false
   // means the engine leaked live jobs (retired != completed != submitted).
-  // `partitioned` toggles the component-partitioned rate path so the node
-  // sweep can show the solver's share of wall time before/after.
   const auto run_row = [&](const std::string& scenario, long long row_jobs,
-                           long long row_nodes, bool diurnal,
-                           bool partitioned = true) -> bool {
+                           long long row_nodes, bool diurnal) -> bool {
     ExperimentConfig config = SteadyBenchConfig(row_jobs, row_nodes, diurnal);
-    config.component_partitioned_network = partitioned;
     if (checkpointing) config.checkpoint = checkpoint;
     RunControl control;
     if (progress) {
@@ -201,13 +197,6 @@ int main(int argc, char** argv) {
       if (!run_row("node-sweep", sweep_jobs, sweep_nodes, /*diurnal=*/false)) {
         return 1;
       }
-    }
-    // The before/after row for the component partition: the same 10k-node
-    // run on the unpartitioned (global re-solve) rate path.  Compare its
-    // events/s and net_solve_share against the node-sweep row above.
-    if (!run_row("node-sweep-globalnet", sweep_jobs, 10000LL,
-                 /*diurnal=*/false, /*partitioned=*/false)) {
-      return 1;
     }
   }
   std::cout << '\n';

@@ -35,28 +35,23 @@ Application::Application(AppId id, sim::Simulator& sim, net::Network& net,
       ids_(ids),
       rng_(rng),
       config_(config),
-      scheduler_(config.scheduler, dfs) {
-  if (config_.scheduler.indexed) {
-    index_ = std::make_unique<ReadyTaskIndex>(dfs_);
-    scheduler_.attach_index(index_.get());
-    dfs_listener_ = dfs_.add_replica_listener(
-        [this](BlockId block, NodeId node, bool added) {
-          if (added) {
-            index_->replica_added(block, node);
-          } else {
-            index_->replica_removed(block, node);
-          }
-        });
-  }
+      index_(dfs),
+      scheduler_(config.scheduler, dfs, index_) {
+  dfs_listener_ = dfs_.add_replica_listener(
+      [this](BlockId block, NodeId node, bool added) {
+        if (added) {
+          index_.replica_added(block, node);
+        } else {
+          index_.replica_removed(block, node);
+        }
+      });
 }
 
 Application::~Application() {
   for (auto& [id, j] : jobs_by_id_) job_pool_.destroy(j);
   jobs_by_id_.clear();
-  if (index_ != nullptr) {
-    dfs_.remove_replica_listener(dfs_listener_);
-    if (cache_ != nullptr) cache_->remove_change_listener(cache_listener_);
-  }
+  dfs_.remove_replica_listener(dfs_listener_);
+  if (cache_ != nullptr) cache_->remove_change_listener(cache_listener_);
 }
 
 void Application::attach_manager(cluster::ClusterManager& manager) {
@@ -67,14 +62,14 @@ void Application::attach_manager(cluster::ClusterManager& manager) {
 void Application::attach_cache(dfs::BlockCache* cache) {
   cache_ = cache;
   scheduler_.set_cache(cache);
-  if (index_ != nullptr && cache != nullptr) {
-    index_->set_cache(cache);
+  if (cache != nullptr) {
+    index_.set_cache(cache);
     cache_listener_ = cache->add_change_listener(
         [this](BlockId block, NodeId node, bool cached) {
           if (cached) {
-            index_->replica_added(block, node);
+            index_.replica_added(block, node);
           } else {
-            index_->replica_removed(block, node);
+            index_.replica_removed(block, node);
           }
         });
   }
@@ -202,7 +197,7 @@ void Application::mark_stage_ready(Job& j, Stage& stage) {
           sources.size(), static_cast<std::size_t>(config_.shuffle_fan_in));
       t.fetch_sources.assign(sources.begin(), sources.begin() + fan_in);
     }
-    if (index_ != nullptr) index_->task_ready(t);
+    index_.task_ready(t);
   }
 }
 
@@ -219,9 +214,9 @@ std::vector<core::JobDemand> Application::pending_demand() const {
     core::JobDemand jd;
     jd.job = j->id.value();
     jd.total_tasks = j->input_tasks;
-    // Indexed: iterate only the ready input tasks (id order == stage scan
-    // order); reference: scan the whole input stage.
-    auto consider = [&](const Task& t) {
+    // Only the ready input tasks, in id (== stage scan) order.
+    for (TaskId id : index_.ready_inputs(j->id)) {
+      const Task& t = task(id);
       const auto& locs = locations_of(t.block);
       const bool covered =
           held_counts != nullptr &&
@@ -229,14 +224,6 @@ std::vector<core::JobDemand> Application::pending_demand() const {
             return (*held_counts)[n.value()] > 0;
           });
       if (!covered) jd.unsatisfied.push_back({t.id.value(), t.block});
-    };
-    if (index_ != nullptr) {
-      for (TaskId id : index_->ready_inputs(j->id)) consider(task(id));
-    } else {
-      for (TaskId id : j->stages.front().tasks) {
-        const Task& t = task(id);
-        if (t.state == TaskState::kReady) consider(t);
-      }
     }
     demand.push_back(std::move(jd));
   }
@@ -245,32 +232,11 @@ std::vector<core::JobDemand> Application::pending_demand() const {
 
 int Application::wanted_executors() const {
   // Every running task belongs to an active job (jobs finish only after all
-  // their tasks do), so the counters cover exactly the scanned sets.
-  if (index_ != nullptr) return index_->ready_count() + running_tasks_;
-  int want = 0;
-  for (const Job* j : active_jobs_) {
-    for (const Stage& stage : j->stages) {
-      for (TaskId id : stage.tasks) {
-        const TaskState s = task(id).state;
-        if (s == TaskState::kReady || s == TaskState::kRunning) ++want;
-      }
-    }
-  }
-  return want;
+  // their tasks do), so ready + running counts the active jobs' demand.
+  return index_.ready_count() + running_tasks_;
 }
 
-int Application::count_ready_tasks() const {
-  if (index_ != nullptr) return index_->ready_count();
-  int ready = 0;
-  for (const Job* j : active_jobs_) {
-    for (const Stage& stage : j->stages) {
-      for (TaskId id : stage.tasks) {
-        if (task(id).state == TaskState::kReady) ++ready;
-      }
-    }
-  }
-  return ready;
-}
+int Application::count_ready_tasks() const { return index_.ready_count(); }
 
 core::LocalityStats Application::locality() const { return achieved_; }
 
@@ -282,52 +248,21 @@ void Application::on_executor_granted(ExecutorId exec) {
 
 bool Application::consider_offer(ExecutorId /*exec*/, NodeId node) {
   const SimTime now = sim_.now();
-  if (index_ != nullptr) {
-    // Index-backed mirror of the reference scan below, including its
-    // side-effect order: each scanned job may start its locality-wait
-    // clock before the loop returns or moves on.
-    for (Job* j : active_jobs_) {
-      if (index_->has_ready_other(j->id)) return true;
-      if (j->launched_input_tasks >= j->input_tasks) continue;
-      if (index_->has_local_ready_input(j->id, node)) return true;
-      if (index_->has_ready_input(j->id)) {
-        if (!j->waiting_since_set()) j->wait_start = now;
-        if (scheduler_.config().kind != SchedulerKind::kDelay ||
-            now - j->wait_start >= scheduler_.config().locality_wait) {
-          return true;  // waited long enough; settle for this node
-        }
-      }
-    }
-    return false;
-  }
-  bool has_ready_input = false;
   for (Job* j : active_jobs_) {
     // Downstream work has no locality constraint: accept immediately.
-    for (const Stage& stage : j->stages) {
-      if (stage.index == 0) continue;
-      for (TaskId id : stage.tasks) {
-        if (task(id).state == TaskState::kReady) return true;
-      }
-    }
+    if (index_.has_ready_other(j->id)) return true;
     if (j->launched_input_tasks >= j->input_tasks) continue;
-    if (scheduler_.has_local_ready_input(*j, node, tasks_)) {
-      return true;
-    }
-    for (TaskId id : j->stages.front().tasks) {
-      if (task(id).state == TaskState::kReady) {
-        has_ready_input = true;
-        // A rejected offer starts the job's locality-wait clock, exactly
-        // like skipping a slot under delay scheduling.
-        if (!j->waiting_since_set()) j->wait_start = now;
-        if (scheduler_.config().kind != SchedulerKind::kDelay ||
-            now - j->wait_start >= scheduler_.config().locality_wait) {
-          return true;  // waited long enough; settle for this node
-        }
-        break;
+    if (index_.has_local_ready_input(j->id, node)) return true;
+    if (index_.has_ready_input(j->id)) {
+      // A rejected offer starts the job's locality-wait clock, exactly
+      // like skipping a slot under delay scheduling.
+      if (!j->waiting_since_set()) j->wait_start = now;
+      if (scheduler_.config().kind != SchedulerKind::kDelay ||
+          now - j->wait_start >= scheduler_.config().locality_wait) {
+        return true;  // waited long enough; settle for this node
       }
     }
   }
-  (void)has_ready_input;
   return false;
 }
 
@@ -347,29 +282,21 @@ void Application::kick() {
   // nothing, every later free executor on a node with no local ready
   // input must get the identical verdict — replay it without re-probing
   // the job list.  Any launch invalidates the cached verdict.
-  const bool replay_nulls = config_.demand_driven_kick && index_ != nullptr;
   bool have_null_verdict = false;
   std::optional<SimTime> null_retry;
 
-  // Snapshot of launch candidates, ascending by executor id.  The
-  // demand-driven sweep reads the cluster's free-held set — exactly the
-  // held executors that survive the owner/busy re-check below, without
-  // walking the busy bulk — so sweep cost tracks free executors, not
-  // executors held.  The reference path snapshots every held executor, as
-  // the seed's full-ledger scan did.  Ownership cannot grow mid-kick
+  // Snapshot of launch candidates, ascending by executor id: the cluster's
+  // free-held set — exactly the held executors that survive the owner/busy
+  // re-check below, without walking the busy bulk — so sweep cost tracks
+  // free executors, not executors held.  Ownership cannot grow mid-kick
   // (grants arrive via posted manager rounds), and each iteration only
-  // flips its own executor busy, so neither snapshot misses a candidate.
+  // flips its own executor busy, so the snapshot misses no candidate.
   held_scratch_.clear();
-  if (replay_nulls) {
-    cluster_.free_held(id_, held_scratch_);
-  } else {
-    cluster_.held_executors(id_, held_scratch_);
-  }
+  cluster_.free_held(id_, held_scratch_);
   for (const ExecutorId held : held_scratch_) {
     const cluster::Executor& snapshot = cluster_.executor(held);
     if (snapshot.owner != id_ || snapshot.busy) continue;
-    if (replay_nulls && have_null_verdict &&
-        !index_->any_local_ready_input(snapshot.node)) {
+    if (have_null_verdict && !index_.any_local_ready_input(snapshot.node)) {
       if (null_retry) {
         if (!earliest_retry || *null_retry < *earliest_retry) {
           earliest_retry = null_retry;
@@ -383,7 +310,7 @@ void Application::kick() {
     }
     std::optional<SimTime> retry_at;
     const auto pick =
-        scheduler_.pick(snapshot.node, now, active_jobs_, tasks_, retry_at);
+        scheduler_.pick(snapshot.node, now, active_jobs_, retry_at);
     if (pick) {
       Task& t = task(pick->task);
       t.local = pick->local;
@@ -468,7 +395,7 @@ void Application::launch(Task& t, ExecutorId exec) {
   cluster::Executor& e = cluster_.executor(exec);
   assert(!e.busy && e.owner == id_);
   cluster_.set_busy(exec, true);
-  if (index_ != nullptr) index_->task_unready(t);
+  index_.task_unready(t);
   t.state = TaskState::kRunning;
   ++running_tasks_;
   t.executor = exec;
@@ -774,7 +701,7 @@ void Application::reset_task(Task& t) {
   t.executor = ExecutorId::invalid();
   t.local = false;
   t.fetches_outstanding = 0;
-  if (index_ != nullptr) index_->task_ready(t);
+  index_.task_ready(t);
 }
 
 void Application::on_executor_lost(ExecutorId exec) {
@@ -918,7 +845,7 @@ void Application::finish_job(Job& j) {
   for (const Stage& stage : j.stages) {
     for (TaskId id : stage.tasks) tasks_.erase(id);
   }
-  if (index_ != nullptr) index_->job_removed(j.id);
+  index_.job_removed(j.id);
 
   if (config_.retire_finished_jobs) {
     // Steady-state retirement: the job record (stages included) goes back
@@ -933,11 +860,7 @@ void Application::finish_job(Job& j) {
 }
 
 bool Application::any_local_ready_input(NodeId node) const {
-  if (index_ != nullptr) return index_->any_local_ready_input(node);
-  for (const Job* j : active_jobs_) {
-    if (scheduler_.has_local_ready_input(*j, node, tasks_)) return true;
-  }
-  return false;
+  return index_.any_local_ready_input(node);
 }
 
 bool Application::pool_has_useful_executor() const {
@@ -963,25 +886,13 @@ bool Application::pool_has_useful_executor() const {
     }
     return false;
   };
-  if (index_ != nullptr) {
-    // The verdict is a pure existence check and depends on a ready input
-    // task only through its block, so walk the index's distinct blocks with
-    // ready input tasks instead of every task of every job: tasks sharing a
-    // block share the answer, and the map is exactly the ready input tasks
-    // of the per-job scan below (entries are erased when their last ready
-    // task launches).  Visit order doesn't matter for a bool.
-    for (const auto& [block, tasks] : index_->ready_blocks()) {
-      if (useful_block(block)) return true;
-    }
-    return false;
-  }
-  for (const Job* j : active_jobs_) {
-    if (j->launched_input_tasks >= j->input_tasks) continue;
-    for (TaskId id : j->stages.front().tasks) {
-      const Task& t = task(id);
-      if (t.state != TaskState::kReady) continue;
-      if (useful_block(t.block)) return true;
-    }
+  // The verdict is a pure existence check and depends on a ready input
+  // task only through its block, so walk the index's distinct blocks with
+  // ready input tasks instead of every task of every job: tasks sharing a
+  // block share the answer (entries are erased when their last ready task
+  // launches).  Visit order doesn't matter for a bool.
+  for (const auto& [block, tasks] : index_.ready_blocks()) {
+    if (useful_block(block)) return true;
   }
   return false;
 }
@@ -991,14 +902,9 @@ void Application::maybe_release_idle_executors() {
 
   std::vector<ExecutorId> to_release;
   held_scratch_.clear();
-  // Only free executors can be released, so the demand-driven path sweeps
-  // the free-held set; both snapshots are ascending == ledger order, and
-  // the busy re-checks below make the walks interchangeable.
-  if (config_.demand_driven_kick && index_ != nullptr) {
-    cluster_.free_held(id_, held_scratch_);
-  } else {
-    cluster_.held_executors(id_, held_scratch_);
-  }
+  // Only free executors can be released, so sweep the free-held set
+  // (ascending == ledger order).
+  cluster_.free_held(id_, held_scratch_);
   if (count_ready_tasks() == 0) {
     // Nothing to run right now: hand idle executors back so the manager can
     // re-allocate them data-aware (the paper's proactive release message).
@@ -1301,13 +1207,10 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
   // containers are ordered sets (or order-insensitive aggregates), so
   // insertion order does not matter; locality derives from the DFS and
   // cache, which must have been restored before the applications.
-  if (index_ != nullptr) {
-    index_ = std::make_unique<ReadyTaskIndex>(dfs_);
-    if (cache_ != nullptr) index_->set_cache(cache_);
-    scheduler_.attach_index(index_.get());
-    for (const auto& [tid, t] : tasks_) {
-      if (t.state == TaskState::kReady) index_->task_ready(t);
-    }
+  index_ = ReadyTaskIndex(dfs_);
+  if (cache_ != nullptr) index_.set_cache(cache_);
+  for (const auto& [tid, t] : tasks_) {
+    if (t.state == TaskState::kReady) index_.task_ready(t);
   }
   exec_idle_since_.clear();
   in_kick_ = false;

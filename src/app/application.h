@@ -7,7 +7,6 @@
 // cluster::AppHandle, which is the entire surface a manager sees.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -47,14 +46,6 @@ struct AppConfig {
   /// an executor on a node that stores one of our uncovered input blocks,
   /// letting the manager swap it for the right one.
   bool locality_swap = true;
-  /// On (default): when a kick sweep's pick comes back "nothing
-  /// launchable", replay that verdict in O(1) for every later free
-  /// executor on a node with no local ready input (the ready index's
-  /// per-node aggregate), instead of re-probing every job per executor —
-  /// kick cost then tracks launches, not executors held.  Requires
-  /// scheduler.indexed; picks and retries are bit-identical either way.
-  /// Off: probe every free executor — the equivalence reference path.
-  bool demand_driven_kick = true;
   SchedulerConfig scheduler;
   /// How many distinct source nodes a shuffle task fetches from.
   int shuffle_fan_in = 3;
@@ -235,12 +226,11 @@ class Application final : public cluster::AppHandle {
   /// Reused buffer for the cluster's incremental held-executor queries
   /// (kick / release sweeps run per event; no per-call allocation).
   mutable std::vector<ExecutorId> held_scratch_;
+  /// Dispatch index over the ready tasks, kept fresh via task state
+  /// transitions here plus Dfs replica / BlockCache change listeners.
+  /// Declared before scheduler_, which holds a reference to it.
+  ReadyTaskIndex index_;
   TaskScheduler scheduler_;
-  /// Dispatch index (tentpole of the indexed scheduler path); null when
-  /// config_.scheduler.indexed is false — every consumer then falls back
-  /// to the seed scan.  Kept fresh via task state transitions here plus
-  /// Dfs replica / BlockCache change listeners.
-  std::unique_ptr<ReadyTaskIndex> index_;
   dfs::Dfs::ListenerId dfs_listener_ = 0;
   dfs::BlockCache::ListenerId cache_listener_ = 0;
   int running_tasks_ = 0;

@@ -8,7 +8,7 @@
 // copy — the paper's E_u model).  All sets are ordered std::set<TaskId>,
 // and within an application TaskId order equals (job submission, stage,
 // task index) order — ids are assigned sequentially at submit time — so
-// set minima reproduce the reference scan's first-match picks exactly.
+// set minima reproduce the seed scan's first-match picks exactly.
 //
 // Update triggers:
 //   - task state transitions: task_ready (stage unblocked, task reset

@@ -180,7 +180,7 @@ std::size_t IdleExecutorIndex::uf_find(std::size_t r) {
 }
 
 std::size_t IdleExecutorIndex::find_free(std::size_t r) {
-  // One enumeration per lookup, like the pool's next_free — the relink
+  // One enumeration per lookup — the relink
   // loop below is bookkeeping for claim_on thefts, not candidate scanning.
   ++enumerated_;
   while (true) {
@@ -195,8 +195,8 @@ std::size_t IdleExecutorIndex::find_free(std::size_t r) {
 }
 
 ExecutorId IdleExecutorIndex::view_claim_any() {
-  // Same rotation as the pool: ranks within the round-start idle set play
-  // the role of positions in the pool's sorted executor array (the Fenwick
+  // The seed's rotation: ranks within the round-start idle set play the
+  // role of positions in its sorted executor array (the Fenwick
   // tree is frozen while the round is live, so ranks are stable).
   if (round_n_ == 0 || round_taken_ == round_n_) return ExecutorId::invalid();
   std::size_t r = find_free(scan_start_);

@@ -12,16 +12,6 @@ bool MinLocalityLess(const AppAllocState& a, const AppAllocState& b) {
   return a.app < b.app;
 }
 
-std::optional<std::size_t> PickMinLocality(
-    const std::vector<AppAllocState>& apps) {
-  std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    if (!apps[i].can_take_more()) continue;
-    if (!best || MinLocalityLess(apps[i], apps[*best])) best = i;
-  }
-  return best;
-}
-
 std::optional<std::size_t> PickFewestHeld(
     const std::vector<AppAllocState>& apps) {
   std::optional<std::size_t> best;
@@ -33,12 +23,6 @@ std::optional<std::size_t> PickFewestHeld(
     }
   }
   return best;
-}
-
-bool IsStillMinLocality(const std::vector<AppAllocState>& apps,
-                        std::size_t index) {
-  const auto pick = PickMinLocality(apps);
-  return pick.has_value() && *pick == index;
 }
 
 bool MinLocalityTracker::IndexLess::operator()(std::size_t a,

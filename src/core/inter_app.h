@@ -36,32 +36,22 @@ struct AppAllocState {
 /// App ids break the paper's unspecified ties deterministically.
 bool MinLocalityLess(const AppAllocState& a, const AppAllocState& b);
 
-/// Index of the app that should pick next among those that can take more
-/// executors; nullopt when every app is at budget.
-std::optional<std::size_t> PickMinLocality(
-    const std::vector<AppAllocState>& apps);
-
 /// The data-unaware counterfactual (Fig. 3's "naive fair"): pick the app
 /// holding the fewest executors, regardless of locality.
 std::optional<std::size_t> PickFewestHeld(
     const std::vector<AppAllocState>& apps);
-
-/// True iff `index` would still be chosen by PickMinLocality — the
-/// ALLOCATEEXECUTOR re-check of Algorithm 2 (line 5).
-bool IsStillMinLocality(const std::vector<AppAllocState>& apps,
-                        std::size_t index);
 
 /// Initialize allocation state from a demand: projected totals include the
 /// pending jobs/tasks, all initially non-local.
 AppAllocState MakeAllocState(const AppDemand& demand, std::size_t index);
 
 /// Incremental MINLOCALITY index: an ordered set over the apps that can
-/// still take executors, keyed exactly like PickMinLocality's linear argmin
-/// ((job %, task %, app id) ascending, then vector index so duplicate app
-/// ids keep the scan's first-wins behaviour).  Picking the next app and the
-/// per-grant ALLOCATEEXECUTOR re-check both become O(log apps) instead of
-/// re-scanning every application — the seed's O(apps) rescan per grant is
-/// what made a round O(executors x apps).
+/// still take executors, keyed by MinLocalityLess ((job %, task %, app id)
+/// ascending, then vector index so duplicate app ids keep a linear
+/// argmin's first-wins behaviour).  Picking the next app (Algorithm 1) and
+/// the per-grant ALLOCATEEXECUTOR re-check (Algorithm 2, line 5) both cost
+/// O(log apps) instead of re-scanning every application — the seed's
+/// O(apps) rescan per grant is what made a round O(executors x apps).
 ///
 /// Contract: an app's key fields (projected stats, held, budget) may only
 /// be mutated while that app is detached via remove(); everything else in
@@ -76,11 +66,12 @@ class MinLocalityTracker {
   /// Re-attach `index` after mutation iff it can still take executors.
   void restore(std::size_t index);
 
-  /// The app PickMinLocality would choose among the attached apps.
+  /// The app MINLOCALITY chooses among the attached apps (the first index
+  /// among full key ties); nullopt when none is attached.
   [[nodiscard]] std::optional<std::size_t> min() const;
 
-  /// IsStillMinLocality for a *detached* index: true iff re-attaching it
-  /// would make it the pick.  Used after every single allocation.
+  /// For a *detached* index: true iff re-attaching it would make it the
+  /// pick.  Used after every single allocation.
   [[nodiscard]] bool would_pick(std::size_t index) const;
 
  private:

@@ -9,17 +9,15 @@
 
 namespace custody::net {
 
-void MaxMinFairSolver::reset_links(std::vector<double> capacity,
-                                   bool partitioned) {
+void MaxMinFairSolver::reset_links(std::vector<double> capacity) {
   capacity_ = std::move(capacity);
   link_flows_.assign(capacity_.size(), {});
   flows_.clear();
   live_slots_.clear();
   touch_stamp_.assign(capacity_.size(), 0);
   round_stamp_ = 0;
-  partitioned_ = partitioned;
   comps_.clear();
-  comp_of_link_.assign(partitioned_ ? capacity_.size() : 0, kNoComponent);
+  comp_of_link_.assign(capacity_.size(), kNoComponent);
   dirty_comps_.clear();
   free_comp_ids_.clear();
   merged_comps_.clear();
@@ -115,13 +113,13 @@ void MaxMinFairSolver::add_flow(std::size_t slot, const std::size_t* links,
   flow.live = true;
   flow.live_pos = static_cast<std::uint32_t>(live_slots_.size());
   live_slots_.push_back(static_cast<std::uint32_t>(slot));
-  if (partitioned_) partition_add(slot);
+  partition_add(slot);
 }
 
 void MaxMinFairSolver::remove_flow(std::size_t slot) {
   assert(slot < flows_.size() && flows_[slot].live);
   FlowEntry& flow = flows_[slot];
-  if (partitioned_ && flow.degree > 0) {
+  if (flow.degree > 0) {
     // All of a flow's links share one component by construction; removal
     // may split it, which the next solve discovers by re-partitioning.
     mark_dirty(comp_of_link_[flow.link[0]]);
@@ -152,7 +150,7 @@ void MaxMinFairSolver::remove_flow(std::size_t slot) {
 }
 
 std::uint32_t MaxMinFairSolver::component_of_slot(std::size_t slot) const {
-  assert(partitioned_ && slot < flows_.size() && flows_[slot].live);
+  assert(slot < flows_.size() && flows_[slot].live);
   const FlowEntry& flow = flows_[slot];
   if (flow.degree == 0) return kNoComponent;
   return comp_of_link_[flow.link[0]];
@@ -225,7 +223,7 @@ void MaxMinFairSolver::RestoreFrom(snap::SnapshotReader& r) {
   round_stamp_ = 0;
   flow_stamp_.clear();
   bfs_epoch_ = 0;
-  if (partitioned_) rebuild_partition();
+  rebuild_partition();
 }
 
 void MaxMinFairSolver::rebuild_partition() {
@@ -272,9 +270,9 @@ void MaxMinFairSolver::rebuild_partition() {
   }
 }
 
-// Min-heap ordering on (share, link index): the reference scan keeps the
-// *first* strictly-smallest share, i.e. the lowest-indexed link among the
-// minima, so ties must break toward the lower link index here too.
+// Min-heap ordering on (share, link index): the seed's linear scan keeps
+// the *first* strictly-smallest share, i.e. the lowest-indexed link among
+// the minima, so ties must break toward the lower link index here too.
 static bool HeapAfter(const MaxMinFairSolver::HeapEntry& a,
                       const MaxMinFairSolver::HeapEntry& b) {
   if (a.share != b.share) return a.share > b.share;
@@ -293,103 +291,17 @@ MaxMinFairSolver::HeapEntry MaxMinFairSolver::heap_pop() {
   return entry;
 }
 
-void MaxMinFairSolver::solve(std::vector<double>& rates,
-                             SolveCounters* counters, SolveDelta* delta) {
-  if (rates.size() < flows_.size()) rates.resize(flows_.size(), 0.0);
-  if (partitioned_) {
-    assert(delta != nullptr);
-    solve_partitioned(rates, counters, delta);
-  } else {
-    solve_global(rates, counters);
-  }
-}
-
-void MaxMinFairSolver::solve_global(std::vector<double>& rates,
-                                    SolveCounters* counters) {
-  const std::size_t num_links = capacity_.size();
-  if (live_slots_.empty()) return;
-
-  rem_cap_.assign(capacity_.begin(), capacity_.end());
-  unassigned_.resize(num_links);
-  if (assigned_.size() < flows_.size()) assigned_.resize(flows_.size(), 1);
-  heap_.clear();
-
-  for (std::size_t l = 0; l < num_links; ++l) {
-    unassigned_[l] = static_cast<std::uint32_t>(link_flows_[l].size());
-  }
-  std::size_t remaining = 0;
-  for (const std::uint32_t slot : live_slots_) {
-    if (flows_[slot].degree == 0) {
-      // Unconstrained by any bottleneck: unbounded rate, as in the
-      // reference (a zero-degree flow would otherwise never be frozen).
-      rates[slot] = std::numeric_limits<double>::infinity();
-    } else {
-      assigned_[slot] = 0;
-      ++remaining;
-    }
-  }
-  for (std::size_t l = 0; l < num_links; ++l) {
-    if (unassigned_[l] == 0) continue;
-    heap_push({rem_cap_[l] / unassigned_[l], static_cast<std::uint32_t>(l)});
-  }
-  if (counters != nullptr) counters->links_scanned += num_links;
-
-  while (remaining > 0) {
-    assert(!heap_.empty());
-    const HeapEntry top = heap_pop();
-    if (counters != nullptr) ++counters->links_scanned;
-    const std::uint32_t l = top.link;
-    if (unassigned_[l] == 0) continue;  // drained since it was pushed
-    const double share = rem_cap_[l] / unassigned_[l];
-    if (share != top.share) {
-      // Stale entry: the link's share grew after this push (shares are
-      // monotone non-decreasing).  Re-queue it at its current share.
-      heap_push({share, l});
-      continue;
-    }
-    // `l` is the bottleneck: freeze every unassigned flow that crosses it.
-    if (counters != nullptr) ++counters->rounds;
-    ++round_stamp_;
-    touched_.clear();
-    for (const std::uint32_t f : link_flows_[l]) {
-      if (counters != nullptr) ++counters->flows_scanned;
-      if (assigned_[f]) continue;
-      rates[f] = share;
-      assigned_[f] = 1;
-      --remaining;
-      const FlowEntry& flow = flows_[f];
-      for (std::uint32_t i = 0; i < flow.degree; ++i) {
-        const std::uint32_t lk = flow.link[i];
-        rem_cap_[lk] = std::max(0.0, rem_cap_[lk] - share);
-        --unassigned_[lk];
-        if (touch_stamp_[lk] != round_stamp_) {
-          touch_stamp_[lk] = round_stamp_;
-          touched_.push_back(lk);
-        }
-      }
-    }
-    for (const std::uint32_t lk : touched_) {
-      if (unassigned_[lk] == 0) continue;
-      heap_push({rem_cap_[lk] / unassigned_[lk], lk});
-      if (counters != nullptr) ++counters->links_scanned;
-    }
-  }
-
-  // Leave assigned_ all-ones so the next solve only clears live slots.
-  for (const std::uint32_t slot : live_slots_) assigned_[slot] = 1;
-}
-
 void MaxMinFairSolver::solve_component(
     const std::vector<std::uint32_t>& links,
     const std::vector<std::uint32_t>& comp_flows, std::vector<double>& rates,
     SolveCounters* counters) {
-  // Identical to the global bottleneck loop, restricted to one component's
-  // links and flows.  rem_cap_/unassigned_ persist across components but
-  // only this component's entries are initialized — no flow here touches
-  // any other link, so stale entries elsewhere are never read.  The heap
-  // pop order depends only on its (share, link) contents, never insertion
-  // order (keys are unique per link), so seeding it from BFS-ordered links
-  // matches the global solve's ascending-index seeding bit for bit.
+  // The bottleneck loop of progressive filling, restricted to one
+  // component's links and flows.  rem_cap_/unassigned_ persist across
+  // components but only this component's entries are initialized — no flow
+  // here touches any other link, so stale entries elsewhere are never read.
+  // The heap pop order depends only on its (share, link) contents, never
+  // insertion order (keys are unique per link), so seeding it from
+  // BFS-ordered links matches an ascending-index seeding bit for bit.
   if (rem_cap_.size() < capacity_.size()) rem_cap_.resize(capacity_.size());
   if (unassigned_.size() < capacity_.size()) {
     unassigned_.resize(capacity_.size());
@@ -445,10 +357,10 @@ void MaxMinFairSolver::solve_component(
   for (const std::uint32_t f : comp_flows) assigned_[f] = 1;
 }
 
-void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
-                                         SolveCounters* counters,
-                                         SolveDelta* delta) {
-  delta->clear();
+void MaxMinFairSolver::solve(std::vector<double>& rates, SolveDelta& delta,
+                             SolveCounters* counters) {
+  if (rates.size() < flows_.size()) rates.resize(flows_.size(), 0.0);
+  delta.clear();
   if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size());
 
   for (const std::uint32_t slot : zero_degree_pending_) {
@@ -458,13 +370,13 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
     if (slot < flows_.size() && flows_[slot].live &&
         flows_[slot].degree == 0) {
       rates[slot] = std::numeric_limits<double>::infinity();
-      delta->unconstrained_slots.push_back(slot);
+      delta.unconstrained_slots.push_back(slot);
     }
   }
   zero_degree_pending_.clear();
 
   for (const std::uint32_t c : merged_comps_) {
-    delta->retired_components.push_back(c);
+    delta.retired_components.push_back(c);
     free_comp_ids_.push_back(c);
   }
   merged_comps_.clear();
@@ -481,7 +393,7 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
     comps_[c].dirty = false;
     --live_comps_;
     free_comp_ids_.push_back(c);
-    delta->retired_components.push_back(c);
+    delta.retired_components.push_back(c);
     if (counters != nullptr) ++counters->components_dirty;
     for (const std::uint32_t l : links_scratch_) {
       comp_of_link_[l] = kNoComponent;
@@ -518,11 +430,11 @@ void MaxMinFairSolver::solve_partitioned(std::vector<double>& rates,
         }
       }
       solve_component(comps_[nc].links, comp_flows_, rates, counters);
-      delta->fresh_components.push_back(nc);
-      delta->changed_slots.insert(delta->changed_slots.end(),
+      delta.fresh_components.push_back(nc);
+      delta.changed_slots.insert(delta.changed_slots.end(),
                                   comp_flows_.begin(), comp_flows_.end());
-      delta->component_ends.push_back(
-          static_cast<std::uint32_t>(delta->changed_slots.size()));
+      delta.component_ends.push_back(
+          static_cast<std::uint32_t>(delta.changed_slots.size()));
     }
   }
   dirty_comps_.clear();

@@ -1,26 +1,26 @@
-// Incremental max-min fair rate solver.
+// Incremental, component-partitioned max-min fair rate solver.
 //
-// The reference algorithm (`MaxMinFairRates` in network.h) rescans every
-// flow and every link per bottleneck round: O(rounds x (F + L)) per
-// recompute, and the Network rebuilds its capacity and flow->link vectors
-// from scratch on every call.  This solver keeps the flow->link incidence
-// persistent across recomputes (flows are added/removed as they start,
-// cancel, or complete) and replaces the scan-everything bottleneck search
-// with a lazy min-heap of links keyed by fair share, so one solve costs
-// ~O((F*d + L) log L) with d <= kMaxLinksPerFlow links per flow.
+// Progressive filling in its textbook form rescans every flow and every
+// link per bottleneck round: O(rounds x (F + L)) per recompute.  This
+// solver keeps the flow->link incidence persistent across recomputes
+// (flows are added/removed as they start, cancel, or complete) and replaces
+// the scan-everything bottleneck search with a lazy min-heap of links keyed
+// by fair share, so one solve costs ~O((F*d + L) log L) with
+// d <= kMaxLinksPerFlow links per flow.
 //
-// The solver is bit-identical to the reference: it processes bottleneck
-// links in the same order (smallest fair share first, lowest link index on
-// ties) and performs the same per-link capacity subtractions, so every
-// division and comparison sees the same operands.  The equivalence is
-// enforced by the multi-seed property suite in tests/net_equivalence_test.
+// It also maintains the connected components of the link-incidence graph
+// and re-solves only the components dirtied since the last solve, leaving
+// clean components' rates untouched.  Disjoint components never share a
+// flow or a link, so the restricted solve performs exactly the divisions a
+// solve over every flow would perform for those flows.
 //
-// Partitioned mode (reset_links(capacity, true)) additionally maintains the
-// connected components of the link-incidence graph and re-solves only the
-// components dirtied since the last solve, leaving clean components' rates
-// untouched — still bit-identical, because disjoint components never share
-// a flow or a link, so the restricted solve performs exactly the divisions
-// the global solve would perform for those flows.  See DESIGN.md §3.
+// The rates are bit-identical to the seed's progressive filling: bottleneck
+// links are processed in the same order (smallest fair share first, lowest
+// link index on ties) with the same per-link capacity subtractions, so
+// every division and comparison sees the same operands.  The seed
+// implementation lives on as the test oracle (tests/oracle/), and
+// tests/net_equivalence_test.cpp compares the two under randomized churn.
+// See DESIGN.md §3.
 #pragma once
 
 #include <cstddef>
@@ -39,21 +39,19 @@ namespace custody::net {
 struct SolveCounters {
   /// Flow-incidence entries visited while freezing bottlenecked flows.
   std::uint64_t flows_scanned = 0;
-  /// Link inspections: per-round share scans (reference) or heap pushes,
-  /// pops and initializations (incremental).
+  /// Link inspections: heap pushes, pops and initializations.
   std::uint64_t links_scanned = 0;
   /// Bottleneck rounds executed.
   std::uint64_t rounds = 0;
-  /// Live connectivity components after each partitioned solve (summed
-  /// across solves; 0 on the non-partitioned paths).
+  /// Live connectivity components after each solve (summed across solves).
   std::uint64_t components_total = 0;
-  /// Dirty components actually re-solved (partitioned path only).
+  /// Dirty components actually re-solved.
   std::uint64_t components_dirty = 0;
 };
 
-/// What one partitioned solve changed: the slots whose rates were
-/// (re)written, grouped by the freshly built component that owns them, plus
-/// the component ids retired since the previous solve.  Clean components'
+/// What one solve changed: the slots whose rates were (re)written, grouped
+/// by the freshly built component that owns them, plus the component ids
+/// retired since the previous solve.  Clean components'
 /// slots never appear here — their rates are untouched by the solve — so
 /// the Network can re-estimate its single pending completion event from the
 /// changed flows plus the surviving per-component minima instead of
@@ -91,13 +89,8 @@ class MaxMinFairSolver {
   /// Component id of a link carrying no flows / a zero-degree flow.
   static constexpr std::uint32_t kNoComponent = 0xffffffffu;
 
-  /// (Re)define the link set; drops every registered flow.  `partitioned`
-  /// turns on connected-component tracking over the link-incidence graph:
-  /// solve() then re-solves only components dirtied by add_flow/remove_flow
-  /// and reports what changed through a SolveDelta.  Results are bit-
-  /// identical either way (components share no flows, so every division
-  /// sees the same operands; enforced by tests/net_equivalence_test.cpp).
-  void reset_links(std::vector<double> capacity, bool partitioned = false);
+  /// (Re)define the link set; drops every registered flow.
+  void reset_links(std::vector<double> capacity);
 
   /// Register flow `slot` traversing `links[0..count)` (distinct link
   /// indices, count <= kMaxLinksPerFlow).  Slots are caller-managed dense
@@ -110,24 +103,23 @@ class MaxMinFairSolver {
   /// Compute max-min fair rates for every registered flow into
   /// `rates[slot]` (resized to cover the highest slot; dead slots keep
   /// their previous values).  Allocation-free after warmup: all scratch
-  /// buffers are reused across calls.  In partitioned mode only dirty
-  /// components are re-solved — clean components' entries in `rates` are
-  /// left untouched — and `delta` (required then) reports exactly which
-  /// slots were rewritten and which component ids were built/retired.
-  void solve(std::vector<double>& rates, SolveCounters* counters = nullptr,
-             SolveDelta* delta = nullptr);
+  /// buffers are reused across calls.  Only components dirtied by
+  /// add_flow/remove_flow since the last solve are re-solved — clean
+  /// components' entries in `rates` are left untouched — and `delta`
+  /// reports exactly which slots were rewritten and which component ids
+  /// were built/retired.
+  void solve(std::vector<double>& rates, SolveDelta& delta,
+             SolveCounters* counters = nullptr);
 
   [[nodiscard]] std::size_t flow_count() const { return live_slots_.size(); }
   [[nodiscard]] std::size_t link_count() const { return capacity_.size(); }
-  [[nodiscard]] bool partitioned() const { return partitioned_; }
-
-  /// Upper bound on component ids in use (partitioned mode); sized for
-  /// per-component side tables.
+  /// Upper bound on component ids in use; sized for per-component side
+  /// tables.
   [[nodiscard]] std::size_t component_count() const { return comps_.size(); }
   /// Component id owning a live flow's links (kNoComponent for a
-  /// zero-degree flow).  Partitioned mode only.
+  /// zero-degree flow).
   [[nodiscard]] std::uint32_t component_of_slot(std::size_t slot) const;
-  /// Live components right now (partitioned mode; 0 otherwise).
+  /// Live components right now.
   [[nodiscard]] std::size_t live_component_count() const {
     return live_comps_;
   }
@@ -179,9 +171,6 @@ class MaxMinFairSolver {
   /// Attach a freshly added flow to the partition: merge the components of
   /// its links (smaller into larger), claim unowned links, mark dirty.
   void partition_add(std::size_t slot);
-  void solve_global(std::vector<double>& rates, SolveCounters* counters);
-  void solve_partitioned(std::vector<double>& rates, SolveCounters* counters,
-                         SolveDelta* delta);
   /// Run the bottleneck loop restricted to `links`/`comp_flows` (the links
   /// and flows of one freshly built component).
   void solve_component(const std::vector<std::uint32_t>& links,
@@ -196,8 +185,7 @@ class MaxMinFairSolver {
   std::vector<FlowEntry> flows_;           // indexed by slot
   std::vector<std::uint32_t> live_slots_;  // unordered; swap-removed
 
-  // Partition state (partitioned mode only).
-  bool partitioned_ = false;
+  // Partition state.
   std::vector<Component> comps_;
   std::vector<std::uint32_t> comp_of_link_;   // kNoComponent = unowned
   std::vector<std::uint32_t> dirty_comps_;    // queued for the next solve
@@ -216,7 +204,7 @@ class MaxMinFairSolver {
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint64_t> touch_stamp_;
   std::uint64_t round_stamp_ = 0;
-  // Partitioned-solve scratch: BFS frontier, the dirty component's link
+  // Partition scratch: BFS frontier, the dirty component's link
   // list (moved out so its id can be reused), per-flow visit stamps.
   std::vector<std::uint32_t> bfs_queue_;
   std::vector<std::uint32_t> links_scratch_;

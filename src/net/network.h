@@ -7,20 +7,15 @@
 // single pending completion event tracks the next flow to finish; it is
 // re-derived after every rate change.
 //
-// Two rate paths produce identical results (bit-for-bit, enforced by the
-// multi-seed property suite in tests/net_equivalence_test.cpp):
-//
-//  * incremental (default) — flow-set changes only mark the rates dirty;
-//    one recompute runs per simulator event ("same-timestamp batching": a
-//    shuffle fan-out that starts k flows in one event costs one solve, not
-//    k), flushed by a simulator post-event hook or lazily when a rate is
-//    observed.  The solve itself runs on MaxMinFairSolver's persistent
-//    link-incidence structure: ~O((F*d + L) log L) per recompute and
-//    allocation-free.
-//  * reference (NetworkConfig::incremental = false) — the seed behavior:
-//    a full O(rounds x (F + L)) progressive-filling pass on every start,
-//    cancel and completion, rebuilding its inputs each time.  Kept only so
-//    tests can prove equivalence and benches can measure the speedup.
+// Flow-set changes only mark the rates dirty; one recompute runs per
+// simulator event ("same-timestamp batching": a shuffle fan-out that starts
+// k flows in one event costs one solve, not k), flushed by a simulator
+// post-event hook or lazily when a rate is observed.  The solve runs on
+// MaxMinFairSolver's persistent, component-partitioned link-incidence
+// structure, and the completion event is re-armed from the solve's rate
+// delta.  Rates, completion order and completion times are bit-identical to
+// the seed's recompute-per-change progressive filling; the goldens in
+// tests/net_equivalence_test.cpp were recorded from that path.
 //
 // The default capacities mirror the paper's Linode nodes (Sec. VI-A):
 // 40 Gbps downlink and 2 Gbps uplink per node.  An optional aggregate core
@@ -51,23 +46,14 @@ struct NetworkConfig {
   double downlink_bps = units::Gbps(40.0);
   /// Aggregate fabric capacity shared by all flows; 0 disables the bottleneck.
   double core_bps = 0.0;
-  /// On (default): batched + incremental rate recomputation.  Off: the
-  /// recompute-per-change reference path (test/bench only).
-  bool incremental = true;
-  /// On (default): the solver tracks connectivity components of the
-  /// link-incidence graph, re-solves only components dirtied since the last
-  /// solve, and the completion event is re-armed from the rate delta.
-  /// Requires `incremental` (the partition lives on the persistent
-  /// incidence structure); results are bit-identical either way.
-  bool component_partitioned = true;
 };
 
 /// What the rate path cost — surfaced through the experiment runner next to
 /// the allocation-round records so the batching and the asymptotic solver
 /// win show up as counters, not just wall time.
 struct NetStats {
-  /// Flow-set changes that requested a rate recompute (each one would have
-  /// been a full recompute on the reference path).
+  /// Flow-set changes that requested a rate recompute (each one was a full
+  /// recompute before same-timestamp batching).
   std::uint64_t recomputes_requested = 0;
   /// Rate solves actually executed.
   std::uint64_t recomputes_run = 0;
@@ -77,17 +63,15 @@ struct NetStats {
   std::uint64_t links_scanned = 0;
   /// Bottleneck rounds across all solves.
   std::uint64_t rounds = 0;
-  /// Live connectivity components after each partitioned solve, summed
-  /// across solves (0 on the other paths).
+  /// Live connectivity components after each solve, summed across solves.
   std::uint64_t components_total = 0;
-  /// Dirty components re-solved across all partitioned solves.
+  /// Dirty components re-solved across all solves.
   std::uint64_t components_dirty = 0;
-  /// Flow rates (re)written by solves — every live flow per solve on the
-  /// non-partitioned paths, only dirty components' flows when partitioned.
+  /// Flow rates (re)written by solves — only dirty components' flows.
   std::uint64_t rates_changed = 0;
   /// Completion re-arms that had to rescan every live flow (time advanced
-  /// since the last arm, or the minima cache was cold).  Partitioned mode
-  /// only; same-timestamp bursts re-arm from the rate delta instead.
+  /// since the last arm, or the minima cache was cold); same-timestamp
+  /// bursts re-arm from the rate delta instead.
   std::uint64_t completion_rescans = 0;
   /// Wall-clock seconds spent inside rate solves.
   double wall_seconds = 0.0;
@@ -201,8 +185,8 @@ class Network {
 
   /// Account progress of all active flows since `last_update_`.
   void advance_progress();
-  /// A flow-set change happened: recompute now (reference) or mark dirty
-  /// and let the end-of-event hook / next observation flush (incremental).
+  /// A flow-set change happened: mark the rates dirty and let the
+  /// end-of-event hook / next observation flush.
   void request_recompute();
   /// Run the pending recompute, if any.
   void flush();
@@ -211,7 +195,7 @@ class Network {
   void arm_completion_event();
   void on_completion_event();
   [[noreturn]] void throw_stranded() const;
-  /// Book a live flow's removal into the rate censuses (partitioned mode).
+  /// Book a live flow's removal into the rate censuses.
   void forget_rate(double rate);
 
   sim::Simulator& sim_;
@@ -229,11 +213,11 @@ class Network {
   bool dirty_ = false;
   sim::Simulator::HookId hook_ = 0;
 
-  /// What the last partitioned solve changed (consumed by the completion
-  /// re-arm; valid only between recompute() and arm_completion_event()).
+  /// What the last solve changed (consumed by the completion re-arm; valid
+  /// only between recompute() and arm_completion_event()).
   SolveDelta delta_;
-  /// Live flows with rate > 0 — replaces the arm-time max-rate scan for
-  /// the stranded check in partitioned mode.
+  /// Live flows with rate > 0 — replaces an arm-time max-rate scan for
+  /// the stranded check.
   std::size_t positive_rate_count_ = 0;
   /// Live flows with an infinite (unconstrained, zero-degree) rate; any
   /// forces the completion re-arm onto the full-rescan path.
@@ -268,17 +252,6 @@ class Network {
   NetStats stats_;
   obs::Tracer* tracer_ = nullptr;
 };
-
-/// Pure function: max-min fair rates via progressive filling.
-///
-/// `flow_links[i]` lists the link indices flow i traverses; `capacity[l]` is
-/// the capacity of link l.  Returns one rate per flow.  Exposed separately so
-/// the fairness property can be unit-tested without a simulator.  This is the
-/// reference implementation the incremental MaxMinFairSolver must match
-/// bit-for-bit; `counters` (optional) accumulates the work it performed.
-std::vector<double> MaxMinFairRates(
-    const std::vector<std::vector<std::size_t>>& flow_links,
-    const std::vector<double>& capacity, SolveCounters* counters = nullptr);
 
 /// True when a non-empty flow set has no flow with a positive rate: nothing
 /// can make progress, no completion event can be armed, and the simulation

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -121,6 +122,20 @@ class ObjectScope {
     }
   }
 
+  /// An integer stored in an `int` field: values outside int's range are
+  /// rejected rather than wrapped by the narrowing cast.
+  void int32(const std::string& key, int& out) {
+    integer(key, [&](long long v) {
+      if (v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument(member_path(key) +
+                                    " must fit in a 32-bit int (got " +
+                                    std::to_string(v) + ")");
+      }
+      out = static_cast<int>(v);
+    });
+  }
+
   void boolean(const std::string& key, bool& out) {
     if (const JsonValue* v = claim(key)) {
       if (!v->is_bool()) {
@@ -161,33 +176,24 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
     if (v < 0) throw std::invalid_argument("num_nodes must be >= 0");
     config.num_nodes = static_cast<std::size_t>(v);
   });
-  root.integer("executors_per_node", [&](long long v) {
-    config.executors_per_node = static_cast<int>(v);
-  });
+  root.int32("executors_per_node", config.executors_per_node);
   root.number("disk_mbps", config.disk_mbps);
   root.number("uplink_gbps", config.uplink_gbps);
   root.number("downlink_gbps", config.downlink_gbps);
   root.number("core_gbps", config.core_gbps);
-  root.boolean("incremental_network", config.incremental_network);
-  root.boolean("component_partitioned_network",
-               config.component_partitioned_network);
 
   // DFS.
   root.number("block_mb", config.block_mb);
-  root.integer("replication",
-               [&](long long v) { config.replication = static_cast<int>(v); });
+  root.int32("replication", config.replication);
   root.number("cache_mb_per_node", config.cache_mb_per_node);
   if (const JsonValue* v = root.claim("dataset")) {
     ObjectScope dataset(*v, "dataset");
-    dataset.integer("files_per_kind", [&](long long n) {
-      config.dataset.files_per_kind = static_cast<int>(n);
-    });
+    dataset.int32("files_per_kind", config.dataset.files_per_kind);
     dataset.number("zipf_skew", config.dataset.zipf_skew);
     dataset.boolean("popularity_replication",
                     config.dataset.popularity_replication);
-    dataset.integer("popularity_extra_replicas", [&](long long n) {
-      config.dataset.popularity_extra_replicas = static_cast<int>(n);
-    });
+    dataset.int32("popularity_extra_replicas",
+                  config.dataset.popularity_extra_replicas);
     dataset.number("hot_fraction", config.dataset.hot_fraction);
     dataset.finish();
   }
@@ -200,8 +206,6 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
     ObjectScope allocator(*v, "allocator");
     allocator.boolean("locality_fair", config.allocator.locality_fair);
     allocator.boolean("priority_jobs", config.allocator.priority_jobs);
-    allocator.boolean("indexed", config.allocator.indexed);
-    allocator.boolean("demand_driven", config.allocator.demand_driven);
     allocator.finish();
   }
   if (const JsonValue* v = root.claim("scheduler")) {
@@ -210,19 +214,14 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
       config.scheduler.kind = SchedulerKindFromName(name);
     });
     scheduler.number("locality_wait", config.scheduler.locality_wait);
-    scheduler.boolean("indexed", config.scheduler.indexed);
     scheduler.finish();
   }
-  root.integer("shuffle_fan_in", [&](long long v) {
-    config.shuffle_fan_in = static_cast<int>(v);
-  });
+  root.int32("shuffle_fan_in", config.shuffle_fan_in);
   root.boolean("speculation", config.speculation);
   root.number("speculation_multiplier", config.speculation_multiplier);
   root.number("slow_node_fraction", config.slow_node_fraction);
   root.number("slow_node_factor", config.slow_node_factor);
-  root.integer("node_failures", [&](long long v) {
-    config.node_failures = static_cast<int>(v);
-  });
+  root.int32("node_failures", config.node_failures);
   root.number("failure_start", config.failure_start);
   root.number("failure_interval", config.failure_interval);
 
@@ -242,24 +241,16 @@ ExperimentConfig ConfigFromJson(const JsonValue& document) {
   }
   if (const JsonValue* v = root.claim("trace")) {
     ObjectScope trace(*v, "trace");
-    trace.integer("num_apps", [&](long long n) {
-      config.trace.num_apps = static_cast<int>(n);
-    });
-    trace.integer("jobs_per_app", [&](long long n) {
-      config.trace.jobs_per_app = static_cast<int>(n);
-    });
+    trace.int32("num_apps", config.trace.num_apps);
+    trace.int32("jobs_per_app", config.trace.jobs_per_app);
     trace.number("mean_interarrival", config.trace.mean_interarrival);
     trace.number("zipf_skew", config.trace.zipf_skew);
-    trace.integer("files_per_kind", [&](long long n) {
-      config.trace.files_per_kind = static_cast<int>(n);
-    });
+    trace.int32("files_per_kind", config.trace.files_per_kind);
     trace.finish();
   }
   if (const JsonValue* v = root.claim("params")) {
     ObjectScope params(*v, "params");
-    params.integer("pagerank_iterations", [&](long long n) {
-      config.params.pagerank_iterations = static_cast<int>(n);
-    });
+    params.int32("pagerank_iterations", config.params.pagerank_iterations);
     params.number("pagerank_compute_per_byte",
                   config.params.pagerank_compute_per_byte);
     params.number("pagerank_shuffle_ratio",
@@ -332,9 +323,6 @@ std::string ConfigToJson(const ExperimentConfig& config) {
   num("uplink_gbps", config.uplink_gbps);
   num("downlink_gbps", config.downlink_gbps);
   num("core_gbps", config.core_gbps);
-  boolean("incremental_network", config.incremental_network);
-  boolean("component_partitioned_network",
-          config.component_partitioned_network);
   num("block_mb", config.block_mb);
   num("replication", config.replication);
   num("cache_mb_per_node", config.cache_mb_per_node);
@@ -348,16 +336,12 @@ std::string ConfigToJson(const ExperimentConfig& config) {
   out += "\"manager\":" + JsonQuote(ManagerName(config.manager)) + ",";
   out += "\"allocator\":{";
   boolean("locality_fair", config.allocator.locality_fair);
-  boolean("priority_jobs", config.allocator.priority_jobs);
-  boolean("indexed", config.allocator.indexed);
-  out += "\"demand_driven\":";
-  out += config.allocator.demand_driven ? "true" : "false";
+  out += "\"priority_jobs\":";
+  out += config.allocator.priority_jobs ? "true" : "false";
   out += "},";
   out += "\"scheduler\":{";
   out += "\"kind\":" + JsonQuote(SchedulerName(config.scheduler.kind)) + ",";
-  num("locality_wait", config.scheduler.locality_wait);
-  out += "\"indexed\":";
-  out += config.scheduler.indexed ? "true" : "false";
+  num("locality_wait", config.scheduler.locality_wait, /*comma=*/false);
   out += "},";
   num("shuffle_fan_in", config.shuffle_fan_in);
   boolean("speculation", config.speculation);

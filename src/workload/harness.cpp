@@ -51,13 +51,6 @@ void ValidateConfig(const ExperimentConfig& config) {
     FailConfig("core_gbps must be >= 0, where 0 means non-blocking (got " +
                Num(config.core_gbps) + ")");
   }
-  if (config.component_partitioned_network && !config.incremental_network) {
-    FailConfig(
-        "component_partitioned_network requires incremental_network (the "
-        "component partition lives on the persistent-incidence solver); set "
-        "component_partitioned_network=false to run the reference rate "
-        "path");
-  }
   // DFS.
   if (config.block_mb <= 0.0) {
     FailConfig("block_mb must be > 0 (got " + Num(config.block_mb) + ")");
@@ -267,8 +260,6 @@ net::NetworkConfig MakeNetConfig(const ExperimentConfig& config) {
   net_config.downlink_bps = units::Gbps(config.downlink_gbps);
   net_config.core_bps =
       config.core_gbps > 0.0 ? units::Gbps(config.core_gbps) : 0.0;
-  net_config.incremental = config.incremental_network;
-  net_config.component_partitioned = config.component_partitioned_network;
   return net_config;
 }
 
@@ -342,7 +333,7 @@ struct HashSink {
 
 std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   HashSink h;
-  h.u64(1);  // hash-layout salt: bump when fields are added or reordered
+  h.u64(2);  // hash-layout salt: bump when fields change or are reordered
   // Cluster.
   h.u64(config.num_nodes);
   h.i64(config.executors_per_node);
@@ -350,8 +341,6 @@ std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   h.f64(config.uplink_gbps);
   h.f64(config.downlink_gbps);
   h.f64(config.core_gbps);
-  h.b(config.incremental_network);
-  h.b(config.component_partitioned_network);
   // DFS.
   h.f64(config.block_mb);
   h.i64(config.replication);
@@ -366,11 +355,8 @@ std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
   h.u64(static_cast<std::uint64_t>(manager));
   h.b(config.allocator.locality_fair);
   h.b(config.allocator.priority_jobs);
-  h.b(config.allocator.indexed);
-  h.b(config.allocator.demand_driven);
   h.u64(static_cast<std::uint64_t>(config.scheduler.kind));
   h.f64(config.scheduler.locality_wait);
-  h.b(config.scheduler.indexed);
   h.i64(config.shuffle_fan_in);
   h.b(config.speculation);
   h.f64(config.speculation_multiplier);
@@ -461,10 +447,6 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
   app_config.scheduler = config.scheduler;
   app_config.shuffle_fan_in = config.shuffle_fan_in;
   app_config.locality_swap = manager_kind == ManagerKind::kCustody;
-  // One switch for every demand-driven path: allocator.demand_driven also
-  // selects the kick-sweep verdict replay, so the round-equivalence suite
-  // pins manager rounds and app sweeps against the reference in one flip.
-  app_config.demand_driven_kick = config.allocator.demand_driven;
   app_config.speculation = config.speculation;
   app_config.speculation_multiplier = config.speculation_multiplier;
   app_config.retire_finished_jobs =

@@ -1,14 +1,18 @@
 // Tests for the Custody allocation algorithms (Algorithms 1 and 2),
 // including the paper's motivating scenarios of Figs. 1, 3 and 4 and
-// property checks of the capacity constraints (2)-(4).
+// property checks of the capacity constraints (2)-(4).  The property suites
+// compare the production round (idle index + MINLOCALITY tracker) against
+// the seed's linear-scan round, kept as the test oracle in tests/oracle/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "common/rng.h"
 #include "core/allocator.h"
 #include "core/idle_index.h"
+#include "oracle/alloc_oracle.h"
 
 namespace custody::core {
 namespace {
@@ -30,6 +34,51 @@ class Locations {
  private:
   std::map<BlockId, std::vector<NodeId>> map_;
 };
+
+/// A production round view over a fresh idle index holding `execs` (unique
+/// ids) — the claim_on / claim_any / has_on contract of one round.
+class IdleRound {
+ public:
+  explicit IdleRound(const std::vector<ExecutorInfo>& execs)
+      : index_(Bound(execs, true), Bound(execs, false)),
+        view_(Load(index_, execs)) {}
+  IdleExecutorIndex::RoundView& view() { return view_; }
+
+ private:
+  static std::size_t Bound(const std::vector<ExecutorInfo>& execs,
+                           bool executors) {
+    std::size_t bound = 0;
+    for (const ExecutorInfo& e : execs) {
+      bound = std::max<std::size_t>(
+          bound, (executors ? e.id.value() : e.node.value()) + 1);
+    }
+    return bound;
+  }
+  static IdleExecutorIndex& Load(IdleExecutorIndex& index,
+                                 const std::vector<ExecutorInfo>& execs) {
+    for (const ExecutorInfo& e : execs) index.add(e.id, e.node);
+    return index;
+  }
+
+  IdleExecutorIndex index_;
+  IdleExecutorIndex::RoundView view_;
+};
+
+/// Runs `body` against the production round view and against the seed
+/// oracle pool over the same executors: both must honour the contract.
+template <class Body>
+void ForBothPools(const std::vector<ExecutorInfo>& execs, Body body) {
+  {
+    SCOPED_TRACE("production round view");
+    IdleRound round(execs);
+    body(round.view());
+  }
+  {
+    SCOPED_TRACE("seed oracle pool");
+    oracle::IdleExecutorPool pool(execs);
+    body(pool);
+  }
+}
 
 std::map<ExecutorId, AppId> ByExecutor(const AllocationResult& result) {
   std::map<ExecutorId, AppId> out;
@@ -74,7 +123,8 @@ TEST(MinLocality, PickSkipsAppsAtBudget) {
   b.budget = 2;
   b.held = 0;
   b.projected = {5, 10, 5, 10};  // worse locality than a, but a is full
-  const auto pick = PickMinLocality({a, b});
+  const std::vector<AppAllocState> apps{a, b};
+  const auto pick = MinLocalityTracker(apps).min();
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, 1u);
 }
@@ -82,7 +132,8 @@ TEST(MinLocality, PickSkipsAppsAtBudget) {
 TEST(MinLocality, PickReturnsNulloptWhenAllFull) {
   AppAllocState a;
   a.budget = 0;
-  EXPECT_FALSE(PickMinLocality({a}).has_value());
+  const std::vector<AppAllocState> apps{a};
+  EXPECT_FALSE(MinLocalityTracker(apps).min().has_value());
 }
 
 TEST(MinLocality, MakeAllocStateProjectsPendingJobs) {
@@ -126,10 +177,11 @@ TEST(JobPriority, TieBrokenByJobUid) {
   EXPECT_TRUE(JobPriorityLess(b, a));
 }
 
-// ---------- idle pool -------------------------------------------------------
+// ---------- idle pool contract ----------------------------------------------
 
 TEST(IdlePool, ClaimOnMatchesNode) {
-  IdleExecutorPool pool({{ExecutorId(3), NodeId(1)}, {ExecutorId(1), NodeId(2)}});
+  IdleRound round({{ExecutorId(3), NodeId(1)}, {ExecutorId(1), NodeId(2)}});
+  auto& pool = round.view();
   EXPECT_TRUE(pool.has_on({NodeId(2)}));
   const ExecutorId claimed = pool.claim_on({NodeId(2)});
   EXPECT_EQ(claimed, ExecutorId(1));
@@ -139,7 +191,8 @@ TEST(IdlePool, ClaimOnMatchesNode) {
 }
 
 TEST(IdlePool, ClaimAnyDrainsPool) {
-  IdleExecutorPool pool({{ExecutorId(0), NodeId(0)}, {ExecutorId(1), NodeId(1)}});
+  IdleRound round({{ExecutorId(0), NodeId(0)}, {ExecutorId(1), NodeId(1)}});
+  auto& pool = round.view();
   std::set<ExecutorId> seen;
   seen.insert(pool.claim_any());
   seen.insert(pool.claim_any());
@@ -148,8 +201,9 @@ TEST(IdlePool, ClaimAnyDrainsPool) {
   EXPECT_FALSE(pool.claim_any().valid());
 }
 
-// The node index and next-free structure must reproduce the linear scans'
-// claim order exactly, under arbitrary interleavings of claim_on/claim_any.
+// The index's per-node lists and rank-space union-find must reproduce the
+// seed's linear scans' claim order exactly, under arbitrary interleavings
+// of claim_on/claim_any.
 TEST(IdlePool, IndexedMatchesReferenceScanOrder) {
   Rng rng(2024);
   for (int trial = 0; trial < 30; ++trial) {
@@ -161,8 +215,9 @@ TEST(IdlePool, IndexedMatchesReferenceScanOrder) {
                        NodeId(static_cast<NodeId::value_type>(
                            rng.index(num_nodes)))});
     }
-    IdleExecutorPool indexed(execs, /*indexed=*/true);
-    IdleExecutorPool reference(execs, /*indexed=*/false);
+    IdleRound round(execs);
+    auto& indexed = round.view();
+    oracle::IdleExecutorPool reference(execs);
     for (int step = 0; step < num_execs + 5; ++step) {
       if (rng.uniform(0.0, 1.0) < 0.5) {
         std::vector<NodeId> nodes;
@@ -187,8 +242,9 @@ TEST(IdlePool, ScannedCounterGrowsSlowerWhenIndexed) {
     execs.push_back({ExecutorId(static_cast<ExecutorId::value_type>(e)),
                      NodeId(static_cast<NodeId::value_type>(e / 2))});
   }
-  IdleExecutorPool indexed(execs, /*indexed=*/true);
-  IdleExecutorPool reference(execs, /*indexed=*/false);
+  IdleRound round(execs);
+  auto& indexed = round.view();
+  oracle::IdleExecutorPool reference(execs);
   // Probing a node near the tail repeatedly: O(replicas) vs O(pool).
   const std::vector<NodeId> tail{NodeId(255)};
   for (int i = 0; i < 50; ++i) {
@@ -204,87 +260,81 @@ TEST(IdlePool, ScannedCounterGrowsSlowerWhenIndexed) {
 // and the modulo wrap after claiming the last slot must leave the cursor in
 // a valid state (an exhausted pool then reports invalid, not a crash).
 TEST(IdlePool, ClaimAnyCursorRotatesAndWrapsAtEnd) {
-  for (const bool indexed : {true, false}) {
-    SCOPED_TRACE(indexed ? "indexed" : "reference");
-    IdleExecutorPool pool({{ExecutorId(0), NodeId(0)},
-                           {ExecutorId(1), NodeId(1)},
-                           {ExecutorId(2), NodeId(2)},
-                           {ExecutorId(3), NodeId(0)}},
-                          indexed);
-    EXPECT_EQ(pool.claim_any(), ExecutorId(0));  // cursor -> 1
-    // claim_on does not move the cursor; it takes slot 3 out from under a
-    // future claim_any sweep.
-    EXPECT_EQ(pool.claim_on({NodeId(0)}), ExecutorId(3));
-    EXPECT_EQ(pool.claim_any(), ExecutorId(1));  // cursor -> 2
-    EXPECT_EQ(pool.claim_any(), ExecutorId(2));  // cursor wraps past slot 3
-    EXPECT_TRUE(pool.empty());
-    EXPECT_FALSE(pool.claim_any().valid());
-    EXPECT_FALSE(pool.claim_any().valid());  // stays invalid, cursor stable
-  }
+  ForBothPools({{ExecutorId(0), NodeId(0)},
+                {ExecutorId(1), NodeId(1)},
+                {ExecutorId(2), NodeId(2)},
+                {ExecutorId(3), NodeId(0)}},
+               [](auto& pool) {
+                 EXPECT_EQ(pool.claim_any(), ExecutorId(0));  // cursor -> 1
+                 // claim_on does not move the cursor; it takes slot 3 out
+                 // from under a future claim_any sweep.
+                 EXPECT_EQ(pool.claim_on({NodeId(0)}), ExecutorId(3));
+                 EXPECT_EQ(pool.claim_any(), ExecutorId(1));  // cursor -> 2
+                 EXPECT_EQ(pool.claim_any(), ExecutorId(2));  // wraps past 3
+                 EXPECT_TRUE(pool.empty());
+                 EXPECT_FALSE(pool.claim_any().valid());
+                 EXPECT_FALSE(pool.claim_any().valid());  // cursor stable
+               });
 }
 
 // claim_on against a node whose executors have all been taken must fall
 // through to invalid, and the per-node head cursor must not resurrect a
 // taken executor on later queries.
 TEST(IdlePool, ClaimOnExhaustedNodeReturnsInvalid) {
-  for (const bool indexed : {true, false}) {
-    SCOPED_TRACE(indexed ? "indexed" : "reference");
-    IdleExecutorPool pool({{ExecutorId(0), NodeId(1)},
-                           {ExecutorId(1), NodeId(1)},
-                           {ExecutorId(2), NodeId(2)}},
-                          indexed);
-    EXPECT_EQ(pool.claim_on({NodeId(1)}), ExecutorId(0));
-    EXPECT_EQ(pool.claim_on({NodeId(1)}), ExecutorId(1));
-    EXPECT_FALSE(pool.has_on({NodeId(1)}));
-    EXPECT_FALSE(pool.claim_on({NodeId(1)}).valid());
-    // The other node is untouched; a multi-node query skips the dry node.
-    EXPECT_EQ(pool.claim_on({NodeId(1), NodeId(2)}), ExecutorId(2));
-    EXPECT_TRUE(pool.empty());
-  }
+  ForBothPools({{ExecutorId(0), NodeId(1)},
+                {ExecutorId(1), NodeId(1)},
+                {ExecutorId(2), NodeId(2)}},
+               [](auto& pool) {
+                 EXPECT_EQ(pool.claim_on({NodeId(1)}), ExecutorId(0));
+                 EXPECT_EQ(pool.claim_on({NodeId(1)}), ExecutorId(1));
+                 EXPECT_FALSE(pool.has_on({NodeId(1)}));
+                 EXPECT_FALSE(pool.claim_on({NodeId(1)}).valid());
+                 // The other node is untouched; a multi-node query skips
+                 // the dry node.
+                 EXPECT_EQ(pool.claim_on({NodeId(1), NodeId(2)}),
+                           ExecutorId(2));
+                 EXPECT_TRUE(pool.empty());
+               });
 }
 
 // has_on must flip exactly when the last executor on a queried node is
 // taken — including when claim_any (not claim_on) is what takes it.
 TEST(IdlePool, HasOnTracksInterleavedTakes) {
-  for (const bool indexed : {true, false}) {
-    SCOPED_TRACE(indexed ? "indexed" : "reference");
-    IdleExecutorPool pool({{ExecutorId(0), NodeId(0)},
-                           {ExecutorId(1), NodeId(0)},
-                           {ExecutorId(2), NodeId(1)}},
-                          indexed);
-    EXPECT_TRUE(pool.has_on({NodeId(0)}));
-    EXPECT_EQ(pool.claim_any(), ExecutorId(0));  // takes node 0's head
-    EXPECT_TRUE(pool.has_on({NodeId(0)}));       // executor 1 remains
-    EXPECT_EQ(pool.claim_any(), ExecutorId(1));
-    EXPECT_FALSE(pool.has_on({NodeId(0)}));
-    EXPECT_TRUE(pool.has_on({NodeId(0), NodeId(1)}));
-    EXPECT_EQ(pool.claim_on({NodeId(1)}), ExecutorId(2));
-    EXPECT_FALSE(pool.has_on({NodeId(0), NodeId(1)}));
-  }
+  ForBothPools({{ExecutorId(0), NodeId(0)},
+                {ExecutorId(1), NodeId(0)},
+                {ExecutorId(2), NodeId(1)}},
+               [](auto& pool) {
+                 EXPECT_TRUE(pool.has_on({NodeId(0)}));
+                 EXPECT_EQ(pool.claim_any(), ExecutorId(0));  // node 0 head
+                 EXPECT_TRUE(pool.has_on({NodeId(0)}));  // executor 1 left
+                 EXPECT_EQ(pool.claim_any(), ExecutorId(1));
+                 EXPECT_FALSE(pool.has_on({NodeId(0)}));
+                 EXPECT_TRUE(pool.has_on({NodeId(0), NodeId(1)}));
+                 EXPECT_EQ(pool.claim_on({NodeId(1)}), ExecutorId(2));
+                 EXPECT_FALSE(pool.has_on({NodeId(0), NodeId(1)}));
+               });
 }
 
 // Nodes with no executors — including node values beyond anything in the
 // pool — must hit the "no head" sentinel path and report invalid/false
 // rather than touching out-of-range state.
 TEST(IdlePool, UnknownAndEmptyNodeQueriesAreInvalid) {
-  for (const bool indexed : {true, false}) {
-    SCOPED_TRACE(indexed ? "indexed" : "reference");
-    IdleExecutorPool pool({{ExecutorId(0), NodeId(3)}}, indexed);
+  ForBothPools({{ExecutorId(0), NodeId(3)}}, [](auto& pool) {
     EXPECT_FALSE(pool.has_on({}));
     EXPECT_FALSE(pool.claim_on({}).valid());
-    EXPECT_FALSE(pool.has_on({NodeId(0)}));          // node with no executor
+    EXPECT_FALSE(pool.has_on({NodeId(0)}));  // node with no executor
     EXPECT_FALSE(pool.claim_on({NodeId(0)}).valid());
-    EXPECT_FALSE(pool.has_on({NodeId(99)}));         // beyond any pool node
+    EXPECT_FALSE(pool.has_on({NodeId(99)}));  // beyond any pool node
     EXPECT_FALSE(pool.claim_on({NodeId(99)}).valid());
-    EXPECT_EQ(pool.size(), 1u);                      // nothing was consumed
+    EXPECT_EQ(pool.size(), 1u);  // nothing was consumed
     EXPECT_EQ(pool.claim_on({NodeId(99), NodeId(3)}), ExecutorId(0));
-  }
+  });
 }
 
 // ---------- persistent idle index -------------------------------------------
 
-// Property: a RoundView over the persistent index must reproduce the
-// per-round IdleExecutorPool claim-for-claim, across rounds separated by
+// Property: a RoundView over the persistent index must reproduce the seed
+// oracle's per-round linear pool claim-for-claim, across rounds separated by
 // random add/remove churn, and dropping a view without applying its claims
 // must leave the index untouched.
 TEST(IdleIndex, RoundViewMatchesPoolAcrossMutationsAndRounds) {
@@ -324,7 +374,7 @@ TEST(IdleIndex, RoundViewMatchesPoolAcrossMutationsAndRounds) {
         ASSERT_EQ(ids[i], infos[i].id);
       }
 
-      IdleExecutorPool reference(infos, /*indexed=*/false);
+      oracle::IdleExecutorPool reference(infos);
       std::vector<ExecutorId> claimed;
       {
         IdleExecutorIndex::RoundView view(index);
@@ -373,8 +423,8 @@ TEST(IdleIndex, RoundViewMatchesPoolAcrossMutationsAndRounds) {
   }
 }
 
-// Property: AllocateOnIndex (the demand-driven round) must produce
-// byte-identical results to the reference Allocate over a materialized
+// Property: AllocateOnIndex over a persistent index must produce
+// byte-identical results to the seed oracle's round over a materialized
 // idle vector, across seeds, shapes and ablation combinations — and must
 // leave the index itself unchanged (assignments are applied by the caller).
 TEST(CustodyAllocator, PropertyAllocateOnIndexMatchesReferenceAcrossSeeds) {
@@ -433,16 +483,13 @@ TEST(CustodyAllocator, PropertyAllocateOnIndexMatchesReferenceAcrossSeeds) {
         AllocatorOptions options;
         options.locality_fair = locality_fair;
         options.priority_jobs = priority_jobs;
-        AllocatorOptions reference = options;
-        reference.indexed = false;
 
         const std::size_t count_before = index.count();
         const auto a =
             CustodyAllocator::AllocateOnIndex(demands, index, loc.fn(),
                                               options);
         EXPECT_EQ(index.count(), count_before) << "seed " << seed;
-        const auto b = CustodyAllocator::Allocate(demands, idle, loc.fn(),
-                                                  reference);
+        const auto b = oracle::Allocate(demands, idle, loc.fn(), options);
         ASSERT_EQ(a.assignments.size(), b.assignments.size())
             << "seed " << seed << " lf=" << locality_fair
             << " pj=" << priority_jobs;
@@ -469,6 +516,7 @@ TEST(CustodyAllocator, PropertyAllocateOnIndexMatchesReferenceAcrossSeeds) {
 
 // ---------- min-locality tracker --------------------------------------------
 
+// The tracker against the seed's linear argmin (oracle::PickMinLocality).
 TEST(MinLocalityTracker, MatchesPickMinLocality) {
   std::vector<AppAllocState> apps(3);
   for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -479,7 +527,7 @@ TEST(MinLocalityTracker, MatchesPickMinLocality) {
   apps[1].projected = {1, 4, 10, 40};  // 25% — the min
   apps[2].projected = {2, 4, 20, 40};  // 50%
   MinLocalityTracker tracker(apps);
-  ASSERT_EQ(tracker.min(), PickMinLocality(apps));
+  ASSERT_EQ(tracker.min(), oracle::PickMinLocality(apps));
   ASSERT_TRUE(tracker.min().has_value());
   EXPECT_EQ(*tracker.min(), 1u);
 
@@ -490,13 +538,13 @@ TEST(MinLocalityTracker, MatchesPickMinLocality) {
   apps[1].projected.local_jobs = 3;    // now 75%, tied with app 0 on jobs
   EXPECT_FALSE(tracker.would_pick(1));
   tracker.restore(1);
-  ASSERT_EQ(tracker.min(), PickMinLocality(apps));
+  ASSERT_EQ(tracker.min(), oracle::PickMinLocality(apps));
 
-  // Apps at budget leave the ordering, exactly like PickMinLocality.
+  // Apps at budget leave the ordering, exactly like the linear argmin.
   tracker.remove(2);
   apps[2].held = apps[2].budget;
   tracker.restore(2);  // no-op: cannot take more
-  ASSERT_EQ(tracker.min(), PickMinLocality(apps));
+  ASSERT_EQ(tracker.min(), oracle::PickMinLocality(apps));
 
   // Everyone full -> no pick.
   for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -505,7 +553,7 @@ TEST(MinLocalityTracker, MatchesPickMinLocality) {
     tracker.restore(i);
   }
   EXPECT_FALSE(tracker.min().has_value());
-  EXPECT_FALSE(PickMinLocality(apps).has_value());
+  EXPECT_FALSE(oracle::PickMinLocality(apps).has_value());
   EXPECT_FALSE(tracker.would_pick(0));
 }
 
@@ -801,10 +849,10 @@ TEST(CustodyAllocator, PropertyCapacityConstraintsAndDeterminism) {
   }
 }
 
-// Property: the indexed hot path (node-indexed pool + incremental
-// min-locality tracker) must produce *byte-identical* assignment sequences
-// to the seed's linear-scan reference path, across random seeds, app/pool
-// shapes and every ablation combination.
+// Property: the production round (idle index + incremental min-locality
+// tracker) must produce *byte-identical* assignment sequences to the seed
+// oracle's linear-scan round, across random seeds, app/pool shapes and
+// every ablation combination.
 TEST(CustodyAllocator, PropertyIndexedMatchesReferenceAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 7919);
@@ -854,17 +902,13 @@ TEST(CustodyAllocator, PropertyIndexedMatchesReferenceAcrossSeeds) {
 
     for (const bool locality_fair : {true, false}) {
       for (const bool priority_jobs : {true, false}) {
-        AllocatorOptions fast;
-        fast.locality_fair = locality_fair;
-        fast.priority_jobs = priority_jobs;
-        fast.indexed = true;
-        AllocatorOptions reference = fast;
-        reference.indexed = false;
+        AllocatorOptions options;
+        options.locality_fair = locality_fair;
+        options.priority_jobs = priority_jobs;
 
         const auto a = CustodyAllocator::Allocate(demands, idle, loc.fn(),
-                                                  fast);
-        const auto b = CustodyAllocator::Allocate(demands, idle, loc.fn(),
-                                                  reference);
+                                                  options);
+        const auto b = oracle::Allocate(demands, idle, loc.fn(), options);
         ASSERT_EQ(a.assignments.size(), b.assignments.size())
             << "seed " << seed << " lf=" << locality_fair
             << " pj=" << priority_jobs;

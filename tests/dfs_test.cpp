@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "dfs/dfs.h"
+#include "oracle/dfs_oracle.h"
 
 namespace custody::dfs {
 namespace {
@@ -186,18 +190,15 @@ TEST(NameNode, BlocksOnTracksReplicaChurn) {
   EXPECT_TRUE(nn.blocks_on(NodeId(4)).empty());
 }
 
-/// Two identically seeded filesystems with several failures applied must
-/// agree block-for-block between the indexed failover path (node->blocks
-/// index + order-statistics target sampling) and the seed full-scan
-/// reference — the two consume identical RNG draws by construction.
+/// An identically seeded production Dfs and seed oracle (full block-map
+/// scan, tests/oracle/) with several failures applied must agree
+/// block-for-block: the order-statistics sampler consumes identical RNG
+/// draws and chooses identical targets by construction.
 TEST(Dfs, IndexedFailoverMatchesReferenceForFixedSeed) {
   for (const std::uint64_t seed : {11u, 29u, 47u, 63u, 81u}) {
-    DfsConfig indexed_config = Config(12, 3);
-    indexed_config.indexed_failover = true;
-    DfsConfig reference_config = indexed_config;
-    reference_config.indexed_failover = false;
-    Dfs indexed(indexed_config, Rng(seed));
-    Dfs reference(reference_config, Rng(seed));
+    const DfsConfig config = Config(12, 3);
+    Dfs indexed(config, Rng(seed));
+    oracle::SeedDfs reference(config, Rng(seed));
 
     std::vector<FileId> indexed_files;
     std::vector<FileId> reference_files;
@@ -237,29 +238,30 @@ TEST(Dfs, IndexedFailoverMatchesReferenceForFixedSeed) {
   }
 }
 
-TEST(Dfs, IndexedFailoverFallsBackOnUnsortedLiveNodes) {
-  // The order-statistics sampler needs an ascending live list; an unsorted
-  // one must take the reference path and still match a reference twin fed
-  // the same (unsorted) list.
-  DfsConfig indexed_config = Config(10, 2);
-  indexed_config.indexed_failover = true;
-  DfsConfig reference_config = indexed_config;
-  reference_config.indexed_failover = false;
-  Dfs indexed(indexed_config, Rng(5));
-  Dfs reference(reference_config, Rng(5));
-  const FileId fi = indexed.write_file("/d", MB(600.0));
-  const FileId fr = reference.write_file("/d", MB(600.0));
+TEST(Dfs, FailNodeRejectsUnsortedOrDuplicateLiveNodes) {
+  // The order-statistics sampler needs a strictly ascending live list; any
+  // other list is rejected before the filesystem changes.
+  Dfs dfs(Config(10, 2), Rng(5));
+  const FileId f = dfs.write_file("/d", MB(600.0));
+  std::vector<std::vector<NodeId>> before;
+  for (const BlockId b : dfs.blocks_of(f)) before.push_back(dfs.locations(b));
+  const double bytes_before = dfs.bytes_on(NodeId(0));
+
   const std::vector<NodeId> shuffled{NodeId(9), NodeId(1), NodeId(4),
                                      NodeId(8), NodeId(2), NodeId(6),
                                      NodeId(5), NodeId(7), NodeId(3)};
-  indexed.fail_node(NodeId(0), shuffled);
-  reference.fail_node(NodeId(0), shuffled);
-  const auto& ib = indexed.blocks_of(fi);
-  const auto& rb = reference.blocks_of(fr);
-  ASSERT_EQ(ib.size(), rb.size());
-  for (std::size_t k = 0; k < ib.size(); ++k) {
-    EXPECT_EQ(indexed.locations(ib[k]), reference.locations(rb[k]));
+  EXPECT_THROW(dfs.fail_node(NodeId(0), shuffled), std::invalid_argument);
+  const std::vector<NodeId> duplicated{NodeId(1), NodeId(2), NodeId(2),
+                                       NodeId(3)};
+  EXPECT_THROW(dfs.fail_node(NodeId(0), duplicated), std::invalid_argument);
+
+  for (std::size_t k = 0; k < before.size(); ++k) {
+    EXPECT_EQ(dfs.locations(dfs.blocks_of(f)[k]), before[k]) << "block " << k;
   }
+  EXPECT_EQ(dfs.bytes_on(NodeId(0)), bytes_before);
+  // Ascending lists (empty and single-node included) are accepted.
+  EXPECT_NO_THROW(dfs.fail_node(NodeId(0), {NodeId(1), NodeId(2)}));
+  EXPECT_NO_THROW(dfs.fail_node(NodeId(1), {}));
 }
 
 TEST(Dfs, ReplicaListenerSeesFailoverChurn) {

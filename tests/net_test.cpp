@@ -2,12 +2,14 @@
 // timing, contention, cancellation, and the core-bottleneck option.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
+#include "net/maxmin.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -26,17 +28,34 @@ NetworkConfig SmallConfig(std::size_t nodes = 4) {
   return c;
 }
 
-// ---------- MaxMinFairRates (pure) ----------------------------------------
+// ---------- MaxMinFairRates: the fairness contract on the solver -----------
+
+/// One solve over a fresh production solver: `flow_links[i]` lists the link
+/// indices flow i traverses; returns one rate per flow, in input order.
+std::vector<double> SolveRates(
+    const std::vector<std::vector<std::size_t>>& flow_links,
+    const std::vector<double>& capacity) {
+  MaxMinFairSolver solver;
+  solver.reset_links(capacity);
+  for (std::size_t f = 0; f < flow_links.size(); ++f) {
+    solver.add_flow(f, flow_links[f].data(), flow_links[f].size());
+  }
+  std::vector<double> rates;
+  SolveDelta delta;
+  solver.solve(rates, delta);
+  rates.resize(flow_links.size());
+  return rates;
+}
 
 TEST(MaxMinFairRates, SingleFlowGetsBottleneck) {
-  const auto rates = MaxMinFairRates({{0, 1}}, {100.0, 200.0});
+  const auto rates = SolveRates({{0, 1}}, {100.0, 200.0});
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_DOUBLE_EQ(rates[0], 100.0);
 }
 
 TEST(MaxMinFairRates, EqualShareOnSharedLink) {
   // Two flows share link 0 (cap 100); each also uses a private link.
-  const auto rates = MaxMinFairRates({{0, 1}, {0, 2}}, {100.0, 500.0, 500.0});
+  const auto rates = SolveRates({{0, 1}, {0, 2}}, {100.0, 500.0, 500.0});
   EXPECT_DOUBLE_EQ(rates[0], 50.0);
   EXPECT_DOUBLE_EQ(rates[1], 50.0);
 }
@@ -44,13 +63,13 @@ TEST(MaxMinFairRates, EqualShareOnSharedLink) {
 TEST(MaxMinFairRates, WaterFillingUnlocksLeftover) {
   // Flow 0 is pinned to 10 by its private link; flow 1 then gets the rest
   // of the shared link (100 - 10 = 90).
-  const auto rates = MaxMinFairRates({{0, 1}, {1}}, {10.0, 100.0});
+  const auto rates = SolveRates({{0, 1}, {1}}, {10.0, 100.0});
   EXPECT_DOUBLE_EQ(rates[0], 10.0);
   EXPECT_DOUBLE_EQ(rates[1], 90.0);
 }
 
 TEST(MaxMinFairRates, EmptyInput) {
-  EXPECT_TRUE(MaxMinFairRates({}, {100.0}).empty());
+  EXPECT_TRUE(SolveRates({}, {100.0}).empty());
 }
 
 // Regression: a flow with an empty link list was never frozen by any
@@ -58,7 +77,7 @@ TEST(MaxMinFairRates, EmptyInput) {
 // compiled out) the solver spun forever.  Such a flow is unconstrained
 // and must get unbounded rate without disturbing the others.
 TEST(MaxMinFairRates, EmptyLinkListGetsUnboundedRate) {
-  const auto rates = MaxMinFairRates({{}, {0}}, {100.0});
+  const auto rates = SolveRates({{}, {0}}, {100.0});
   ASSERT_EQ(rates.size(), 2u);
   EXPECT_TRUE(std::isinf(rates[0]));
   EXPECT_GT(rates[0], 0.0);
@@ -66,7 +85,7 @@ TEST(MaxMinFairRates, EmptyLinkListGetsUnboundedRate) {
 }
 
 TEST(MaxMinFairRates, AllFlowsLinklessTerminates) {
-  const auto rates = MaxMinFairRates({{}, {}, {}}, {50.0});
+  const auto rates = SolveRates({{}, {}, {}}, {50.0});
   ASSERT_EQ(rates.size(), 3u);
   for (double r : rates) EXPECT_TRUE(std::isinf(r));
 }
@@ -90,7 +109,7 @@ TEST(MaxMinFairRates, PropertyFeasibleAndMaxMin) {
         }
       }
     }
-    const auto rates = MaxMinFairRates(flow_links, capacity);
+    const auto rates = SolveRates(flow_links, capacity);
 
     // Feasibility: per-link load <= capacity (small epsilon).
     std::vector<double> load(num_links, 0.0);
@@ -318,69 +337,58 @@ TEST(Network, FanOutInOneEventBatchesToOneRecompute) {
 }
 
 TEST(Network, FanOutIdenticalWithAndWithoutBatching) {
-  // N flows started in one event must produce identical completion times
-  // whether recomputes are batched (incremental) or not (reference).
-  auto run = [](bool incremental) {
-    sim::Simulator sim;
-    NetworkConfig config = SmallConfig(10);
-    config.incremental = incremental;
-    config.component_partitioned = incremental;
-    Network net(sim, config);
-    std::vector<double> done(9, -1.0);
-    sim.schedule(0.5, [&] {
-      for (int i = 0; i < 9; ++i) {
-        net.start_flow(NodeId(0),
-                       NodeId(static_cast<NodeId::value_type>(i + 1)),
-                       100.0 * (i + 1), [&done, &sim, i] {
-                         done[static_cast<std::size_t>(i)] = sim.now();
-                       });
-      }
-    });
-    sim.run();
-    return done;
-  };
-  const auto batched = run(true);
-  const auto reference = run(false);
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i], reference[i]) << "flow " << i;  // bit-identical
+  // N flows started in one event must produce the completion times the
+  // seed's recompute-per-change path produced.  Golden recorded at commit
+  // a7adfbd from this scenario with NetworkConfig::incremental = false and
+  // component_partitioned = false (hex-float literals: exact bits).
+  constexpr double kReferenceDone[9] = {
+      0x1.3p+3,  0x1.18p+4, 0x1.88p+4, 0x1.e8p+4, 0x1.1cp+5,
+      0x1.3cp+5, 0x1.54p+5, 0x1.64p+5, 0x1.6cp+5};
+  sim::Simulator sim;
+  Network net(sim, SmallConfig(10));
+  std::vector<double> done(9, -1.0);
+  sim.schedule(0.5, [&] {
+    for (int i = 0; i < 9; ++i) {
+      net.start_flow(NodeId(0), NodeId(static_cast<NodeId::value_type>(i + 1)),
+                     100.0 * (i + 1), [&done, &sim, i] {
+                       done[static_cast<std::size_t>(i)] = sim.now();
+                     });
+    }
+  });
+  sim.run();
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    EXPECT_EQ(done[i], kReferenceDone[i]) << "flow " << i;  // bit-identical
   }
 }
 
 TEST(Network, CancelInsideCompletionCallback) {
   // A completion callback cancelling a sibling flow mid-burst must not
-  // disturb the remaining flows, on either rate path.
-  auto run = [](bool incremental) {
-    sim::Simulator sim;
-    NetworkConfig config = SmallConfig(8);
-    config.incremental = incremental;
-    config.component_partitioned = incremental;
-    Network net(sim, config);
-    FlowId victim;
-    bool victim_completed = false;
-    double survivor_done = -1.0;
-    double first_done = -1.0;
-    // Same uplink: 3 flows at 100/3 B/s each.
-    net.start_flow(NodeId(0), NodeId(1), 100.0, [&] {
-      first_done = sim.now();
-      net.cancel_flow(victim);
-    });
-    victim =
-        net.start_flow(NodeId(0), NodeId(2), 900.0, [&] { victim_completed = true; });
-    net.start_flow(NodeId(0), NodeId(3), 400.0,
-                   [&] { survivor_done = sim.now(); });
-    sim.run();
-    EXPECT_NEAR(first_done, 3.0, 1e-9);
-    EXPECT_FALSE(victim_completed);
-    // Survivor: 3 s at 100/3 B/s = 100 bytes, then 300 bytes alone at
-    // 100 B/s -> done at t = 6.
-    EXPECT_NEAR(survivor_done, 6.0, 1e-9);
-    EXPECT_EQ(net.active_flow_count(), 0u);
-    return std::pair{first_done, survivor_done};
-  };
-  const auto batched = run(true);
-  const auto reference = run(false);
-  EXPECT_EQ(batched.first, reference.first);
-  EXPECT_EQ(batched.second, reference.second);
+  // disturb the remaining flows.  The completion times must also equal the
+  // seed's recompute-per-change path's, recorded at commit a7adfbd from
+  // this scenario with NetworkConfig::incremental = false and
+  // component_partitioned = false: 0x1.8p+1 (3 s) and 0x1.8p+2 (6 s).
+  sim::Simulator sim;
+  Network net(sim, SmallConfig(8));
+  FlowId victim;
+  bool victim_completed = false;
+  double survivor_done = -1.0;
+  double first_done = -1.0;
+  // Same uplink: 3 flows at 100/3 B/s each.
+  net.start_flow(NodeId(0), NodeId(1), 100.0, [&] {
+    first_done = sim.now();
+    net.cancel_flow(victim);
+  });
+  victim =
+      net.start_flow(NodeId(0), NodeId(2), 900.0, [&] { victim_completed = true; });
+  net.start_flow(NodeId(0), NodeId(3), 400.0,
+                 [&] { survivor_done = sim.now(); });
+  sim.run();
+  EXPECT_FALSE(victim_completed);
+  // Survivor: 3 s at 100/3 B/s = 100 bytes, then 300 bytes alone at
+  // 100 B/s -> done at t = 6.
+  EXPECT_EQ(first_done, 0x1.8p+1);
+  EXPECT_EQ(survivor_done, 0x1.8p+2);
+  EXPECT_EQ(net.active_flow_count(), 0u);
 }
 
 // ---------- cancel churn ----------------------------------------------------
@@ -448,7 +456,7 @@ TEST(Network, StrandedFlowsFailLoudly) {
   NetworkConfig config = SmallConfig(4);
   config.uplink_bps = std::numeric_limits<double>::denorm_min();
 
-  {  // incremental path: the batched recompute flushes at the next step.
+  {  // the batched recompute flushes at the next step.
     sim::Simulator sim;
     Network net(sim, config);
     net.start_flow(NodeId(0), NodeId(1), 10.0, [] {});
@@ -461,15 +469,6 @@ TEST(Network, StrandedFlowsFailLoudly) {
     const FlowId a = net.start_flow(NodeId(0), NodeId(1), 10.0, [] {});
     net.start_flow(NodeId(0), NodeId(2), 10.0, [] {});
     EXPECT_THROW((void)net.flow_rate(a), std::runtime_error);
-  }
-  {  // reference path recomputes eagerly inside start_flow.
-    config.incremental = false;
-    config.component_partitioned = false;
-    sim::Simulator sim;
-    Network net(sim, config);
-    net.start_flow(NodeId(0), NodeId(1), 10.0, [] {});
-    EXPECT_THROW(net.start_flow(NodeId(0), NodeId(2), 10.0, [] {}),
-                 std::runtime_error);
   }
 }
 

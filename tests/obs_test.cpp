@@ -16,6 +16,7 @@
 #include "obs/critical_path.h"
 #include "obs/perfetto.h"
 #include "obs/trace.h"
+#include "result_equal.h"
 #include "sim/simulator.h"
 #include "workload/experiment.h"
 #include "workload/harness.h"
@@ -292,38 +293,6 @@ ExperimentConfig TracedConfig() {
   return config;
 }
 
-void ExpectSummaryEq(const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_DOUBLE_EQ(a.mean, b.mean);
-  EXPECT_DOUBLE_EQ(a.stddev, b.stddev);
-  EXPECT_DOUBLE_EQ(a.min, b.min);
-  EXPECT_DOUBLE_EQ(a.median, b.median);
-  EXPECT_DOUBLE_EQ(a.p95, b.p95);
-  EXPECT_DOUBLE_EQ(a.max, b.max);
-}
-
-void ExpectResultsBitIdentical(const ExperimentResult& a,
-                               const ExperimentResult& b) {
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  ExpectSummaryEq(a.jct, b.jct);
-  ExpectSummaryEq(a.job_locality, b.job_locality);
-  ExpectSummaryEq(a.input_stage, b.input_stage);
-  ExpectSummaryEq(a.sched_delay, b.sched_delay);
-  EXPECT_DOUBLE_EQ(a.overall_task_locality_percent,
-                   b.overall_task_locality_percent);
-  EXPECT_DOUBLE_EQ(a.local_job_percent, b.local_job_percent);
-  EXPECT_DOUBLE_EQ(a.net_bytes_delivered, b.net_bytes_delivered);
-  EXPECT_EQ(a.launches_local, b.launches_local);
-  EXPECT_EQ(a.launches_covered_busy, b.launches_covered_busy);
-  EXPECT_EQ(a.launches_uncovered, b.launches_uncovered);
-  EXPECT_EQ(a.manager_stats.executors_granted,
-            b.manager_stats.executors_granted);
-  EXPECT_EQ(a.manager_stats.allocation_rounds,
-            b.manager_stats.allocation_rounds);
-}
-
 TEST(TracingOnOff, ResultsBitIdenticalAcrossManagers) {
   for (const ManagerKind manager :
        {ManagerKind::kStandalone, ManagerKind::kCustody, ManagerKind::kOffer,
@@ -336,7 +305,7 @@ TEST(TracingOnOff, ResultsBitIdenticalAcrossManagers) {
     const auto result_on = RunExperiment(on);
     ASSERT_NE(result_on.trace, nullptr) << ManagerName(manager);
     EXPECT_GT(result_on.trace->size(), 0u) << ManagerName(manager);
-    ExpectResultsBitIdentical(result_off, result_on);
+    testutil::ExpectResultsIdentical(result_off, result_on);
   }
 }
 
@@ -353,7 +322,7 @@ TEST(TracingOnOff, BitIdenticalUnderFailuresCacheAndSpeculation) {
   const auto result_off = RunExperiment(off);
   const auto result_on = RunExperiment(on);
   EXPECT_EQ(result_on.nodes_failed, 2);
-  ExpectResultsBitIdentical(result_off, result_on);
+  testutil::ExpectResultsIdentical(result_off, result_on);
 }
 
 // ---------- the exporter -----------------------------------------------------
@@ -505,7 +474,7 @@ TEST(TracedSweep, ParallelMatchesSerialWithPerRunTracers) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_NE(serial[i].trace, nullptr);
     ASSERT_NE(parallel[i].trace, nullptr);
-    ExpectResultsBitIdentical(serial[i], parallel[i]);
+    testutil::ExpectResultsIdentical(serial[i], parallel[i]);
     // Each run records into its own buffer; identical runs record the
     // same event stream.
     ASSERT_EQ(serial[i].trace->recorded(), parallel[i].trace->recorded());

@@ -102,23 +102,22 @@ SchedulerConfig Delay(double wait = 3.0) {
   return {SchedulerKind::kDelay, wait};
 }
 
-/// Parametrized over the dispatch path: false = reference scan, true =
-/// ReadyTaskIndex lookups.  make() must be called after the scenario is
-/// built — it snapshots the ready tasks into the index.
+/// Picks come from the application-maintained ReadyTaskIndex.  make() must
+/// be called after the scenario is built — it snapshots the ready tasks
+/// into the index, the way Application::RestoreFrom rebuilds it.  The
+/// single "indexed" instance keeps the suite's test names stable now that
+/// the seed full-scan instance is gone (its whole-run results are pinned
+/// by the goldens in dispatch_equivalence_test.cpp).
 class SchedulerPath : public testing::TestWithParam<bool> {
  protected:
   TaskScheduler make(SchedulerConfig cfg) {
-    cfg.indexed = GetParam();
-    TaskScheduler sched(cfg, f.dfs());
-    if (cfg.indexed) {
-      index_ = std::make_unique<ReadyTaskIndex>(f.dfs());
-      for (const auto& [id, t] : f.tasks()) {
-        if (t.state == TaskState::kReady) index_->task_ready(t);
-      }
-      sched.attach_index(index_.get());
+    index_ = std::make_unique<ReadyTaskIndex>(f.dfs());
+    for (const auto& [id, t] : f.tasks()) {
+      if (t.state == TaskState::kReady) index_->task_ready(t);
     }
-    return sched;
+    return TaskScheduler(cfg, f.dfs(), *index_);
   }
+  const ReadyTaskIndex& index() const { return *index_; }
 
   SchedulerFixture f;
 
@@ -126,9 +125,9 @@ class SchedulerPath : public testing::TestWithParam<bool> {
   std::unique_ptr<ReadyTaskIndex> index_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Paths, SchedulerPath, testing::Bool(),
-                         [](const testing::TestParamInfo<bool>& info) {
-                           return info.param ? "indexed" : "reference";
+INSTANTIATE_TEST_SUITE_P(Paths, SchedulerPath, testing::Values(true),
+                         [](const testing::TestParamInfo<bool>&) {
+                           return "indexed";
                          });
 
 TEST_P(SchedulerPath, DelayPrefersLocalInputTask) {
@@ -140,7 +139,7 @@ TEST_P(SchedulerPath, DelayPrefersLocalInputTask) {
 
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, local_task.id);
   EXPECT_TRUE(pick->local);
@@ -153,14 +152,14 @@ TEST_P(SchedulerPath, DelayWaitsBeforeGoingRemote) {
   TaskScheduler sched = make(Delay(3.0));
   std::optional<SimTime> retry;
   // First ask at t=0: nothing local -> the job starts its wait.
-  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), retry));
   EXPECT_TRUE(j.waiting_since_set());
   ASSERT_TRUE(retry.has_value());
   EXPECT_DOUBLE_EQ(*retry, 3.0);
   // Still within the wait: refuse again.
-  EXPECT_FALSE(sched.pick(NodeId(1), 2.9, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), 2.9, f.jobs(), retry));
   // Wait expired: accept the remote slot.
-  const auto pick = sched.pick(NodeId(1), 3.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 3.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_FALSE(pick->local);
 }
@@ -173,10 +172,10 @@ TEST_P(SchedulerPath, DelayWaitExpiryExactTimeDoesNotSpin) {
   TaskScheduler sched = make(Delay(3.0));
   std::optional<SimTime> retry;
   const double start = 9.133414204015;  // awkward binary representation
-  EXPECT_FALSE(sched.pick(NodeId(1), start, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), start, f.jobs(), retry));
   ASSERT_TRUE(retry.has_value());
   const auto pick =
-      sched.pick(NodeId(1), *retry, f.jobs(), f.tasks(), retry);
+      sched.pick(NodeId(1), *retry, f.jobs(), retry);
   EXPECT_TRUE(pick.has_value());
 }
 
@@ -204,12 +203,12 @@ TEST_P(SchedulerPath, DelayWaitExpiryStillFiresAtSteadyStateHorizons) {
     TaskScheduler sched = make(Delay(c.wait));
     std::vector<Job*> only{c.job};
     std::optional<SimTime> retry;
-    EXPECT_FALSE(sched.pick(NodeId(1), c.start, only, f.tasks(), retry));
+    EXPECT_FALSE(sched.pick(NodeId(1), c.start, only, retry));
     ASSERT_TRUE(retry.has_value());
     // Confirm the scenario bites: the retry instant minus the wait start is
     // genuinely short of the wait by more than the old absolute epsilon.
     ASSERT_LT(*retry - c.start, c.wait - 1e-9);
-    const auto pick = sched.pick(NodeId(1), *retry, only, f.tasks(), retry);
+    const auto pick = sched.pick(NodeId(1), *retry, only, retry);
     EXPECT_TRUE(pick.has_value());
     EXPECT_FALSE(pick->local);
   }
@@ -221,7 +220,8 @@ TEST(DelayScheduler, LocalLaunchResetsWait) {
   Task& t = f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kReady);
   j.wait_start = 5.0;
   t.local = true;
-  TaskScheduler sched(Delay(), f.dfs());
+  const ReadyTaskIndex index(f.dfs());
+  TaskScheduler sched(Delay(), f.dfs(), index);
   sched.on_launched(j, t);
   EXPECT_FALSE(j.waiting_since_set());
 }
@@ -232,7 +232,8 @@ TEST(DelayScheduler, NonLocalLaunchKeepsExpiredTimer) {
   Task& t = f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   j.wait_start = 5.0;
   t.local = false;
-  TaskScheduler sched(Delay(), f.dfs());
+  const ReadyTaskIndex index(f.dfs());
+  TaskScheduler sched(Delay(), f.dfs(), index);
   sched.on_launched(j, t);
   // The expired timer persists so follow-up tasks launch without re-waiting.
   EXPECT_TRUE(j.waiting_since_set());
@@ -243,7 +244,7 @@ TEST_P(SchedulerPath, DelayDownstreamTasksLaunchAnywhere) {
   Task& reduce = f.add_downstream_task(j, TaskState::kReady);
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(7), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(7), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, reduce.id);
 }
@@ -256,7 +257,7 @@ TEST_P(SchedulerPath, DelaySkipsJobButServesNextOne) {
                                  TaskState::kReady);
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, local.id);  // job 1 skipped, job 2 local served
   EXPECT_TRUE(first.waiting_since_set());
@@ -269,7 +270,7 @@ TEST_P(SchedulerPath, DelayIgnoresNonReadyTasks) {
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kFinished);
   TaskScheduler sched = make(Delay());
   std::optional<SimTime> retry;
-  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry));
+  EXPECT_FALSE(sched.pick(NodeId(1), 0.0, f.jobs(), retry));
   EXPECT_FALSE(retry.has_value());  // nothing will become pickable by time
 }
 
@@ -278,7 +279,7 @@ TEST_P(SchedulerPath, LocalityPreferredNeverWaits) {
   f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kLocalityPreferred, 3.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_FALSE(pick->local);
   EXPECT_FALSE(j.waiting_since_set());
@@ -291,7 +292,7 @@ TEST_P(SchedulerPath, LocalityPreferredStillPrefersLocal) {
                                  TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kLocalityPreferred, 0.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, local.id);
 }
@@ -303,7 +304,7 @@ TEST_P(SchedulerPath, FifoIgnoresLocalityEntirely) {
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kFifo, 3.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->task, first.id);  // stage order, not locality
   EXPECT_FALSE(pick->local);
@@ -314,7 +315,7 @@ TEST_P(SchedulerPath, FifoStillReportsLocalityForMetrics) {
   f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kReady);
   TaskScheduler sched = make({SchedulerKind::kFifo, 0.0});
   std::optional<SimTime> retry;
-  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry);
+  const auto pick = sched.pick(NodeId(1), 0.0, f.jobs(), retry);
   ASSERT_TRUE(pick.has_value());
   EXPECT_TRUE(pick->local);  // happened to be local
 }
@@ -322,9 +323,9 @@ TEST_P(SchedulerPath, FifoStillReportsLocalityForMetrics) {
 TEST_P(SchedulerPath, HasLocalReadyInput) {
   Job& j = f.add_job();
   f.add_input_task(j, f.add_block({NodeId(2)}), TaskState::kReady);
-  TaskScheduler sched = make(Delay());
-  EXPECT_TRUE(sched.has_local_ready_input(j, NodeId(2), f.tasks()));
-  EXPECT_FALSE(sched.has_local_ready_input(j, NodeId(3), f.tasks()));
+  make(Delay());  // builds the index
+  EXPECT_TRUE(index().has_local_ready_input(j.id, NodeId(2)));
+  EXPECT_FALSE(index().has_local_ready_input(j.id, NodeId(3)));
 }
 
 TEST_P(SchedulerPath, ZeroWaitDelayActsLikeLocalityPreferred) {
@@ -332,7 +333,7 @@ TEST_P(SchedulerPath, ZeroWaitDelayActsLikeLocalityPreferred) {
   f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   TaskScheduler sched = make(Delay(0.0));
   std::optional<SimTime> retry;
-  EXPECT_TRUE(sched.pick(NodeId(1), 0.0, f.jobs(), f.tasks(), retry));
+  EXPECT_TRUE(sched.pick(NodeId(1), 0.0, f.jobs(), retry));
 }
 
 }  // namespace

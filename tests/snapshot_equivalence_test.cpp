@@ -33,10 +33,13 @@
 #include <gtest/gtest.h>
 
 #include "common/snapshot.h"
+#include "result_equal.h"
 #include "workload/harness.h"
 
 namespace custody::workload {
 namespace {
+
+using testutil::ExpectResultsIdentical;
 
 // Small but multi-layer: block cache, speculation, slow nodes and a
 // three-crash failure wave (t = 10, 18, 26) are all live, so a snapshot
@@ -58,89 +61,6 @@ ExperimentConfig BaseConfig(ManagerKind manager, std::uint64_t seed) {
   config.failure_interval = 8.0;
   config.seed = seed;
   return config;
-}
-
-void ExpectSummariesIdentical(const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.p25, b.p25);
-  EXPECT_EQ(a.median, b.median);
-  EXPECT_EQ(a.p75, b.p75);
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.p99, b.p99);
-  EXPECT_EQ(a.max, b.max);
-}
-
-/// Exact comparison of every deterministic result field (wall-clock
-/// diagnostics excluded, see the header comment).  Unlike the
-/// demand-driven equivalence suite, restore equivalence is FULL identity:
-/// even the work counters (executors_scanned, rounds_skipped, demand
-/// sizes) must match, because a restored run replays the exact same
-/// decisions.
-void ExpectResultsIdentical(const ExperimentResult& a,
-                            const ExperimentResult& b) {
-  EXPECT_EQ(a.manager_name, b.manager_name);
-  {
-    SCOPED_TRACE("job_locality");
-    ExpectSummariesIdentical(a.job_locality, b.job_locality);
-  }
-  EXPECT_EQ(a.overall_task_locality_percent, b.overall_task_locality_percent);
-  EXPECT_EQ(a.local_job_percent, b.local_job_percent);
-  {
-    SCOPED_TRACE("jct");
-    ExpectSummariesIdentical(a.jct, b.jct);
-  }
-  {
-    SCOPED_TRACE("input_stage");
-    ExpectSummariesIdentical(a.input_stage, b.input_stage);
-  }
-  {
-    SCOPED_TRACE("sched_delay");
-    ExpectSummariesIdentical(a.sched_delay, b.sched_delay);
-  }
-  ASSERT_EQ(a.per_app_local_job_fraction.size(),
-            b.per_app_local_job_fraction.size());
-  for (std::size_t i = 0; i < a.per_app_local_job_fraction.size(); ++i) {
-    EXPECT_EQ(a.per_app_local_job_fraction[i], b.per_app_local_job_fraction[i])
-        << "per_app_local_job_fraction[" << i << "]";
-  }
-  const cluster::ManagerStats& ma = a.manager_stats;
-  const cluster::ManagerStats& mb = b.manager_stats;
-  EXPECT_EQ(ma.allocation_rounds, mb.allocation_rounds);
-  EXPECT_EQ(ma.executors_granted, mb.executors_granted);
-  EXPECT_EQ(ma.executors_released, mb.executors_released);
-  EXPECT_EQ(ma.offers_made, mb.offers_made);
-  EXPECT_EQ(ma.offers_rejected, mb.offers_rejected);
-  EXPECT_EQ(ma.executors_scanned, mb.executors_scanned);
-  EXPECT_EQ(ma.apps_considered, mb.apps_considered);
-  EXPECT_EQ(ma.rounds_skipped, mb.rounds_skipped);
-  EXPECT_EQ(ma.demand_apps, mb.demand_apps);
-  EXPECT_EQ(ma.demanded_tasks, mb.demanded_tasks);
-  EXPECT_EQ(ma.demands_saturated, mb.demands_saturated);
-  EXPECT_EQ(a.round_wall.count, b.round_wall.count);
-  EXPECT_EQ(a.round_yield_fraction, b.round_yield_fraction);
-  EXPECT_EQ(a.net_stats.recomputes_requested, b.net_stats.recomputes_requested);
-  EXPECT_EQ(a.net_stats.recomputes_run, b.net_stats.recomputes_run);
-  EXPECT_EQ(a.net_stats.recomputes_batched, b.net_stats.recomputes_batched);
-  EXPECT_EQ(a.net_stats.flows_scanned, b.net_stats.flows_scanned);
-  EXPECT_EQ(a.net_stats.links_scanned, b.net_stats.links_scanned);
-  EXPECT_EQ(a.net_stats.rounds, b.net_stats.rounds);
-  EXPECT_EQ(a.net_bytes_delivered, b.net_bytes_delivered);
-  EXPECT_EQ(a.cache_insertions, b.cache_insertions);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.speculative_launches, b.speculative_launches);
-  EXPECT_EQ(a.speculative_wins, b.speculative_wins);
-  EXPECT_EQ(a.nodes_failed, b.nodes_failed);
-  EXPECT_EQ(a.launches_local, b.launches_local);
-  EXPECT_EQ(a.launches_covered_busy, b.launches_covered_busy);
-  EXPECT_EQ(a.launches_uncovered, b.launches_uncovered);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.jobs_retired, b.jobs_retired);
-  EXPECT_EQ(a.peak_live_tasks, b.peak_live_tasks);
 }
 
 /// Run to `T`, snapshot, destroy the run, restore into a FRESH LiveRun,

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "result_equal.h"
 #include "workload/harness.h"
 
 namespace custody::workload {
@@ -43,56 +44,14 @@ ExperimentConfig SteadyConfig(ManagerKind manager, std::uint64_t seed = 42) {
   return config;
 }
 
-void ExpectSummariesIdentical(const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.p25, b.p25);
-  EXPECT_EQ(a.median, b.median);
-  EXPECT_EQ(a.p75, b.p75);
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.p99, b.p99);
-  EXPECT_EQ(a.max, b.max);
-}
-
 /// Every deterministic scalar of the result — the scheduling decisions.
-/// Excludes the summaries, so both exact-vs-exact and exact-vs-streaming
-/// comparisons share it.
+/// Excludes the summaries and the retirement count, so exact-vs-streaming
+/// and retiring-vs-not comparisons share it.
 void ExpectDecisionsIdentical(const ExperimentResult& a,
                               const ExperimentResult& b) {
-  EXPECT_EQ(a.manager_name, b.manager_name);
-  EXPECT_EQ(a.overall_task_locality_percent, b.overall_task_locality_percent);
-  EXPECT_EQ(a.local_job_percent, b.local_job_percent);
-  ASSERT_EQ(a.per_app_local_job_fraction.size(),
-            b.per_app_local_job_fraction.size());
-  for (std::size_t i = 0; i < a.per_app_local_job_fraction.size(); ++i) {
-    EXPECT_EQ(a.per_app_local_job_fraction[i],
-              b.per_app_local_job_fraction[i])
-        << "per_app_local_job_fraction[" << i << "]";
-  }
-  EXPECT_EQ(a.manager_stats.allocation_rounds,
-            b.manager_stats.allocation_rounds);
-  EXPECT_EQ(a.manager_stats.executors_granted,
-            b.manager_stats.executors_granted);
-  EXPECT_EQ(a.manager_stats.executors_released,
-            b.manager_stats.executors_released);
-  EXPECT_EQ(a.manager_stats.offers_made, b.manager_stats.offers_made);
-  EXPECT_EQ(a.manager_stats.offers_rejected, b.manager_stats.offers_rejected);
-  EXPECT_EQ(a.manager_stats.executors_scanned,
-            b.manager_stats.executors_scanned);
-  EXPECT_EQ(a.manager_stats.apps_considered, b.manager_stats.apps_considered);
-  EXPECT_EQ(a.round_yield_fraction, b.round_yield_fraction);
-  EXPECT_EQ(a.net_stats.recomputes_run, b.net_stats.recomputes_run);
-  EXPECT_EQ(a.net_stats.rounds, b.net_stats.rounds);
-  EXPECT_EQ(a.net_bytes_delivered, b.net_bytes_delivered);
-  EXPECT_EQ(a.launches_local, b.launches_local);
-  EXPECT_EQ(a.launches_covered_busy, b.launches_covered_busy);
-  EXPECT_EQ(a.launches_uncovered, b.launches_uncovered);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.peak_live_tasks, b.peak_live_tasks);
+  testutil::ExpectResultsIdentical(
+      a, b, testutil::kAllFields & ~testutil::kSummaries &
+                ~testutil::kRetirement);
 }
 
 // ---------------------------------------------------------------------------
@@ -179,23 +138,7 @@ TEST(SteadyState, LazyPumpMatchesMaterializedForEveryManager) {
       ExperimentConfig lazy = SteadyConfig(manager, seed);
       const ExperimentResult a = RunExperiment(materialized);
       const ExperimentResult b = RunExperiment(lazy);
-      ExpectDecisionsIdentical(a, b);
-      {
-        SCOPED_TRACE("job_locality");
-        ExpectSummariesIdentical(a.job_locality, b.job_locality);
-      }
-      {
-        SCOPED_TRACE("jct");
-        ExpectSummariesIdentical(a.jct, b.jct);
-      }
-      {
-        SCOPED_TRACE("input_stage");
-        ExpectSummariesIdentical(a.input_stage, b.input_stage);
-      }
-      {
-        SCOPED_TRACE("sched_delay");
-        ExpectSummariesIdentical(a.sched_delay, b.sched_delay);
-      }
+      testutil::ExpectResultsIdentical(a, b);
       EXPECT_EQ(a.jobs_retired, 0u);
       EXPECT_EQ(b.jobs_retired, 0u);
     }

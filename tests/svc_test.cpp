@@ -258,7 +258,16 @@ TEST_F(ControlPlaneTest, ConcurrentSubmissionsAreOrderIndependent) {
 TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
   const ExperimentConfig good = SmallConfig(ManagerKind::kCustody);
   using Mutate = std::function<void(ExperimentConfig&)>;
-  const std::vector<std::pair<Mutate, std::string>> table = {
+  // A row either mutates the good config (posted through ConfigToJson) or
+  // posts a raw document the typed config cannot express.
+  struct Row {
+    Row(Mutate m, std::string f) : mutate(std::move(m)), field(std::move(f)) {}
+    Row(const char* json, std::string f) : raw(json), field(std::move(f)) {}
+    Mutate mutate;
+    std::string raw;
+    std::string field;
+  };
+  const std::vector<Row> table = {
       {[](auto& c) { c.num_nodes = 0; }, "num_nodes"},
       {[](auto& c) { c.executors_per_node = 0; }, "executors_per_node"},
       {[](auto& c) { c.executors_per_node = -3; }, "executors_per_node"},
@@ -266,11 +275,6 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
       {[](auto& c) { c.uplink_gbps = 0.0; }, "uplink_gbps"},
       {[](auto& c) { c.downlink_gbps = -2.0; }, "downlink_gbps"},
       {[](auto& c) { c.core_gbps = -1.0; }, "core_gbps"},
-      {[](auto& c) {
-         c.incremental_network = false;
-         c.component_partitioned_network = true;
-       },
-       "component_partitioned_network"},
       {[](auto& c) { c.block_mb = 0.0; }, "block_mb"},
       {[](auto& c) { c.replication = 0; }, "replication"},
       {[](auto& c) { c.cache_mb_per_node = -1.0; }, "cache_mb_per_node"},
@@ -316,17 +320,35 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
          c.steady.streaming_metrics = false;
        },
        "steady.retire_jobs"},
+      // Integers beyond int's range must not wrap into valid values
+      // (4294967298 once decoded to 2, 4294967297 to 1, 4294967300 to 4).
+      {"{\"num_nodes\":16,\"executors_per_node\":4294967298}",
+       "executors_per_node"},
+      {"{\"replication\":4294967297}", "replication"},
+      {"{\"shuffle_fan_in\":4294967300}", "shuffle_fan_in"},
+      // Removed equivalence-proof switches are unknown keys now.
+      {"{\"incremental_network\":false}", "incremental_network"},
+      {"{\"component_partitioned_network\":true}",
+       "component_partitioned_network"},
+      {"{\"allocator\":{\"indexed\":true}}", "allocator.indexed"},
+      {"{\"allocator\":{\"demand_driven\":false}}",
+       "allocator.demand_driven"},
+      {"{\"scheduler\":{\"indexed\":false}}", "scheduler.indexed"},
   };
   for (std::size_t i = 0; i < table.size(); ++i) {
-    SCOPED_TRACE("case " + std::to_string(i) + " (" + table[i].second + ")");
-    ExperimentConfig bad = good;
-    table[i].first(bad);
+    SCOPED_TRACE("case " + std::to_string(i) + " (" + table[i].field + ")");
+    std::string document = table[i].raw;
+    if (table[i].mutate) {
+      ExperimentConfig bad = good;
+      table[i].mutate(bad);
+      document = ConfigToJson(bad);
+    }
     const ClientResponse response =
-        Fetch(port_, "POST", "/experiments", ConfigToJson(bad));
+        Fetch(port_, "POST", "/experiments", document);
     EXPECT_EQ(response.status, 400) << response.body;
     const JsonValue body = JsonReader::Parse(response.body);
     ASSERT_NE(body.find("field"), nullptr) << response.body;
-    EXPECT_EQ(body.find("field")->as_string(), table[i].second)
+    EXPECT_EQ(body.find("field")->as_string(), table[i].field)
         << response.body;
   }
 }

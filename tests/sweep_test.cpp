@@ -17,11 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include "result_equal.h"
 #include "workload/harness.h"
 #include "workload/sweep.h"
 
 namespace custody::workload {
 namespace {
+
+using testutil::ExpectResultsIdentical;
 
 ExperimentConfig SmallConfig(ManagerKind manager,
                              WorkloadKind kind = WorkloadKind::kWordCount,
@@ -36,81 +39,6 @@ ExperimentConfig SmallConfig(ManagerKind manager,
   config.trace.files_per_kind = 4;
   config.seed = seed;
   return config;
-}
-
-void ExpectSummariesIdentical(const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.p25, b.p25);
-  EXPECT_EQ(a.median, b.median);
-  EXPECT_EQ(a.p75, b.p75);
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.p99, b.p99);
-  EXPECT_EQ(a.max, b.max);
-}
-
-/// Exact comparison of every deterministic field of two results.
-void ExpectResultsIdentical(const ExperimentResult& a,
-                            const ExperimentResult& b) {
-  EXPECT_EQ(a.manager_name, b.manager_name);
-  {
-    SCOPED_TRACE("job_locality");
-    ExpectSummariesIdentical(a.job_locality, b.job_locality);
-  }
-  EXPECT_EQ(a.overall_task_locality_percent, b.overall_task_locality_percent);
-  EXPECT_EQ(a.local_job_percent, b.local_job_percent);
-  {
-    SCOPED_TRACE("jct");
-    ExpectSummariesIdentical(a.jct, b.jct);
-  }
-  {
-    SCOPED_TRACE("input_stage");
-    ExpectSummariesIdentical(a.input_stage, b.input_stage);
-  }
-  {
-    SCOPED_TRACE("sched_delay");
-    ExpectSummariesIdentical(a.sched_delay, b.sched_delay);
-  }
-  ASSERT_EQ(a.per_app_local_job_fraction.size(),
-            b.per_app_local_job_fraction.size());
-  for (std::size_t i = 0; i < a.per_app_local_job_fraction.size(); ++i) {
-    EXPECT_EQ(a.per_app_local_job_fraction[i], b.per_app_local_job_fraction[i])
-        << "per_app_local_job_fraction[" << i << "]";
-  }
-  EXPECT_EQ(a.manager_stats.allocation_rounds,
-            b.manager_stats.allocation_rounds);
-  EXPECT_EQ(a.manager_stats.executors_granted,
-            b.manager_stats.executors_granted);
-  EXPECT_EQ(a.manager_stats.executors_released,
-            b.manager_stats.executors_released);
-  EXPECT_EQ(a.manager_stats.offers_made, b.manager_stats.offers_made);
-  EXPECT_EQ(a.manager_stats.offers_rejected, b.manager_stats.offers_rejected);
-  EXPECT_EQ(a.manager_stats.executors_scanned,
-            b.manager_stats.executors_scanned);
-  EXPECT_EQ(a.manager_stats.apps_considered, b.manager_stats.apps_considered);
-  // round_wall values are wall-clock; only the round count is simulated.
-  EXPECT_EQ(a.round_wall.count, b.round_wall.count);
-  EXPECT_EQ(a.round_yield_fraction, b.round_yield_fraction);
-  EXPECT_EQ(a.net_stats.recomputes_requested, b.net_stats.recomputes_requested);
-  EXPECT_EQ(a.net_stats.recomputes_run, b.net_stats.recomputes_run);
-  EXPECT_EQ(a.net_stats.recomputes_batched, b.net_stats.recomputes_batched);
-  EXPECT_EQ(a.net_stats.flows_scanned, b.net_stats.flows_scanned);
-  EXPECT_EQ(a.net_stats.links_scanned, b.net_stats.links_scanned);
-  EXPECT_EQ(a.net_stats.rounds, b.net_stats.rounds);
-  EXPECT_EQ(a.net_bytes_delivered, b.net_bytes_delivered);
-  EXPECT_EQ(a.cache_insertions, b.cache_insertions);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.speculative_launches, b.speculative_launches);
-  EXPECT_EQ(a.speculative_wins, b.speculative_wins);
-  EXPECT_EQ(a.nodes_failed, b.nodes_failed);
-  EXPECT_EQ(a.launches_local, b.launches_local);
-  EXPECT_EQ(a.launches_covered_busy, b.launches_covered_busy);
-  EXPECT_EQ(a.launches_uncovered, b.launches_uncovered);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
 }
 
 /// A mixed grid: every manager kind, every workload, varied sizes, seeds,
@@ -356,11 +284,6 @@ TEST(ValidateConfig, RejectsEveryBadKnobWithTheFieldNamed) {
   ExpectInvalid(with([](auto& c) { c.downlink_gbps = -2.0; }),
                 "downlink_gbps");
   ExpectInvalid(with([](auto& c) { c.core_gbps = -1.0; }), "core_gbps");
-  ExpectInvalid(with([](auto& c) {
-                  c.incremental_network = false;
-                  c.component_partitioned_network = true;
-                }),
-                "component_partitioned_network");
   ExpectInvalid(with([](auto& c) { c.block_mb = 0.0; }), "block_mb");
   ExpectInvalid(with([](auto& c) { c.replication = 0; }), "replication");
   ExpectInvalid(with([](auto& c) { c.cache_mb_per_node = -1.0; }),
