@@ -8,9 +8,12 @@
 //
 // Prints the full metric set for the chosen configuration; with --compare
 // it runs the standalone baseline on the identical layout and shows gains.
-#include <cstring>
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
-#include <optional>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "common/csv.h"
@@ -42,19 +45,45 @@ void Usage(const char* argv0) {
       << "  --csv PATH        append one row per run to a CSV file\n";
 }
 
-std::optional<WorkloadKind> ParseWorkload(const std::string& name) {
-  if (name == "pagerank") return WorkloadKind::kPageRank;
-  if (name == "wordcount") return WorkloadKind::kWordCount;
-  if (name == "sort") return WorkloadKind::kSort;
-  return std::nullopt;
+[[noreturn]] void Die(const std::string& error) {
+  std::cerr << "error: " << error << "\n";
+  std::exit(2);
 }
 
-std::optional<ManagerKind> ParseManager(const std::string& name) {
-  if (name == "standalone") return ManagerKind::kStandalone;
-  if (name == "custody") return ManagerKind::kCustody;
-  if (name == "offer") return ManagerKind::kOffer;
-  if (name == "pool") return ManagerKind::kPool;
-  return std::nullopt;
+// Strict flag values: the whole text must parse, in range, or the run
+// stops with exit status 2 (atoi-style parsing turned "abc" into 0).
+long long ParseInteger(const std::string& flag, const char* text,
+                       long long lo, long long hi, const char* expected) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (errno != 0 || end == text || *end != '\0' || value < lo ||
+      value > hi) {
+    Die(flag + " expects " + expected + ", got \"" + text + "\"");
+  }
+  return value;
+}
+
+int ParseInt(const std::string& flag, const char* text) {
+  return static_cast<int>(ParseInteger(
+      flag, text, std::numeric_limits<int>::min(),
+      std::numeric_limits<int>::max(), "a 32-bit integer"));
+}
+
+std::uint64_t ParseCount(const std::string& flag, const char* text) {
+  return static_cast<std::uint64_t>(
+      ParseInteger(flag, text, 0, std::numeric_limits<long long>::max(),
+                   "a non-negative integer"));
+}
+
+double ParseDouble(const std::string& flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (errno != 0 || end == text || *end != '\0') {
+    Die(flag + " expects a number, got \"" + text + "\"");
+  }
+  return value;
 }
 
 void PrintResult(const ExperimentResult& r) {
@@ -116,46 +145,44 @@ int main(int argc, char** argv) {
       Usage(argv[0]);
       return 0;
     } else if (arg == "--nodes") {
-      config.num_nodes = static_cast<std::size_t>(std::atoll(next()));
+      config.num_nodes = ParseCount(arg, next());
     } else if (arg == "--workload") {
       const std::string name = next();
       if (name == "mixed") {
         config.kinds = {WorkloadKind::kPageRank, WorkloadKind::kWordCount,
                         WorkloadKind::kSort};
-      } else if (auto kind = ParseWorkload(name)) {
+      } else if (auto kind = EnumFromName<WorkloadKind>(name, true)) {
         config.kinds = {*kind};
       } else {
-        std::cerr << "unknown workload: " << name << "\n";
-        return 2;
+        Die("unknown workload: " + name);
       }
     } else if (arg == "--manager") {
       const std::string name = next();
-      if (auto manager = ParseManager(name)) {
+      if (auto manager = EnumFromName<ManagerKind>(name, true)) {
         config.manager = *manager;
       } else {
-        std::cerr << "unknown manager: " << name << "\n";
-        return 2;
+        Die("unknown manager: " + name);
       }
     } else if (arg == "--apps") {
-      config.trace.num_apps = std::atoi(next());
+      config.trace.num_apps = ParseInt(arg, next());
     } else if (arg == "--jobs") {
-      config.trace.jobs_per_app = std::atoi(next());
+      config.trace.jobs_per_app = ParseInt(arg, next());
     } else if (arg == "--seed") {
-      config.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      config.seed = ParseCount(arg, next());
     } else if (arg == "--wait") {
-      config.scheduler.locality_wait = std::atof(next());
+      config.scheduler.locality_wait = ParseDouble(arg, next());
     } else if (arg == "--replication") {
-      config.replication = std::atoi(next());
+      config.replication = ParseInt(arg, next());
     } else if (arg == "--interarrival") {
-      config.trace.mean_interarrival = std::atof(next());
+      config.trace.mean_interarrival = ParseDouble(arg, next());
     } else if (arg == "--cache") {
-      config.cache_mb_per_node = std::atof(next());
+      config.cache_mb_per_node = ParseDouble(arg, next());
     } else if (arg == "--speculate") {
       config.speculation = true;
     } else if (arg == "--slow-nodes") {
-      config.slow_node_fraction = std::atof(next());
+      config.slow_node_fraction = ParseDouble(arg, next());
     } else if (arg == "--failures") {
-      config.node_failures = std::atoi(next());
+      config.node_failures = ParseInt(arg, next());
     } else if (arg == "--compare") {
       compare = true;
     } else if (arg == "--csv") {
@@ -167,7 +194,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto result = RunExperiment(config);
+  // Out-of-range values (a negative count, NaN, replication above the node
+  // count) are ValidateConfig's to reject, naming the field.
+  ExperimentResult result;
+  try {
+    result = RunExperiment(config);
+  } catch (const std::invalid_argument& error) {
+    Die(error.what());
+  }
   PrintResult(result);
 
   if (compare) {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,20 +80,12 @@ long long ParseIntOrDie(const std::string& text, const std::string& flag) {
   return value;
 }
 
-WorkloadKind ParseWorkload(const std::string& name) {
-  if (name == "PageRank" || name == "pagerank") return WorkloadKind::kPageRank;
-  if (name == "WordCount" || name == "wordcount")
-    return WorkloadKind::kWordCount;
-  if (name == "Sort" || name == "sort") return WorkloadKind::kSort;
-  Usage("unknown workload \"" + name + "\"");
-}
-
-ManagerKind ParseManager(const std::string& name) {
-  if (name == "standalone") return ManagerKind::kStandalone;
-  if (name == "custody") return ManagerKind::kCustody;
-  if (name == "offer") return ManagerKind::kOffer;
-  if (name == "pool") return ManagerKind::kPool;
-  Usage("unknown manager \"" + name + "\"");
+/// A workload or manager name, in any capitalisation.
+template <typename E>
+E ParseNameOrDie(const std::string& name, const std::string& what) {
+  const std::optional<E> value = EnumFromName<E>(name, /*ignore_case=*/true);
+  if (!value) Usage("unknown " + what + " \"" + name + "\"");
+  return *value;
 }
 
 }  // namespace
@@ -127,12 +120,12 @@ int main(int argc, char** argv) {
     } else if (flag == "--workloads") {
       workloads.clear();
       for (const auto& part : SplitCommas(value)) {
-        workloads.push_back(ParseWorkload(part));
+        workloads.push_back(ParseNameOrDie<WorkloadKind>(part, "workload"));
       }
     } else if (flag == "--managers") {
       managers.clear();
       for (const auto& part : SplitCommas(value)) {
-        managers.push_back(ParseManager(part));
+        managers.push_back(ParseNameOrDie<ManagerKind>(part, "manager"));
       }
     } else if (flag == "--seeds") {
       seeds.clear();

@@ -28,12 +28,22 @@
 
 #include "app/job.h"
 #include "app/ready_index.h"
+#include "common/enum_names.h"
 #include "dfs/cache.h"
 #include "dfs/dfs.h"
 
 namespace custody::app {
 
 enum class SchedulerKind { kDelay, kLocalityPreferred, kFifo };
+
+inline constexpr EnumName<SchedulerKind> kSchedulerKindNames[] = {
+    {SchedulerKind::kDelay, "delay"},
+    {SchedulerKind::kLocalityPreferred, "locality_preferred"},
+    {SchedulerKind::kFifo, "fifo"},
+};
+constexpr std::span<const EnumName<SchedulerKind>> EnumNames(SchedulerKind) {
+  return kSchedulerKindNames;
+}
 
 struct SchedulerConfig {
   SchedulerKind kind = SchedulerKind::kDelay;

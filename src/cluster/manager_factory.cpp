@@ -10,20 +10,6 @@
 
 namespace custody::cluster {
 
-const char* ManagerName(ManagerKind kind) {
-  switch (kind) {
-    case ManagerKind::kStandalone:
-      return "standalone";
-    case ManagerKind::kCustody:
-      return "custody";
-    case ManagerKind::kOffer:
-      return "offer";
-    case ManagerKind::kPool:
-      return "pool";
-  }
-  return "unknown";
-}
-
 std::unique_ptr<ClusterManager> MakeManager(const ManagerSpec& spec,
                                             sim::Simulator& sim,
                                             Cluster& cluster,

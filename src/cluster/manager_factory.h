@@ -12,6 +12,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/manager.h"
+#include "common/enum_names.h"
 #include "core/allocator.h"
 #include "sim/simulator.h"
 
@@ -19,7 +20,19 @@ namespace custody::cluster {
 
 enum class ManagerKind { kStandalone, kCustody, kOffer, kPool };
 
-[[nodiscard]] const char* ManagerName(ManagerKind kind);
+inline constexpr EnumName<ManagerKind> kManagerKindNames[] = {
+    {ManagerKind::kStandalone, "standalone"},
+    {ManagerKind::kCustody, "custody"},
+    {ManagerKind::kOffer, "offer"},
+    {ManagerKind::kPool, "pool"},
+};
+constexpr std::span<const EnumName<ManagerKind>> EnumNames(ManagerKind) {
+  return kManagerKindNames;
+}
+
+[[nodiscard]] inline const char* ManagerName(ManagerKind kind) {
+  return EnumToName(kind);
+}
 
 /// Everything the concrete managers need that the caller decides.  Fields
 /// irrelevant to the chosen kind are ignored (e.g. only kStandalone and

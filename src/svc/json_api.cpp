@@ -2,19 +2,20 @@
 
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
-#include "app/scheduler.h"
+#include "common/enum_names.h"
+#include "workload/config_fields.h"
 
 namespace custody::svc {
 
 using workload::ExperimentConfig;
 using workload::ExperimentResult;
-using workload::WorkloadKind;
-using cluster::ManagerKind;
 
 std::string JsonNumber(double value) {
   if (!std::isfinite(value)) {
@@ -25,282 +26,178 @@ std::string JsonNumber(double value) {
   return buf;
 }
 
-ManagerKind ManagerKindFromName(const std::string& name) {
-  if (name == "custody") return ManagerKind::kCustody;
-  if (name == "standalone") return ManagerKind::kStandalone;
-  if (name == "offer") return ManagerKind::kOffer;
-  if (name == "pool") return ManagerKind::kPool;
-  throw std::invalid_argument(
-      "manager must be one of custody|standalone|offer|pool (got \"" + name +
-      "\")");
-}
-
-WorkloadKind WorkloadKindFromName(const std::string& name) {
-  if (name == "PageRank") return WorkloadKind::kPageRank;
-  if (name == "WordCount") return WorkloadKind::kWordCount;
-  if (name == "Sort") return WorkloadKind::kSort;
-  throw std::invalid_argument(
-      "kinds must name PageRank|WordCount|Sort workloads (got \"" + name +
-      "\")");
-}
-
 namespace {
 
-const char* SchedulerName(app::SchedulerKind kind) {
-  switch (kind) {
-    case app::SchedulerKind::kDelay: return "delay";
-    case app::SchedulerKind::kLocalityPreferred: return "locality_preferred";
-    case app::SchedulerKind::kFifo: return "fifo";
-  }
-  return "delay";
-}
+using workload::ConfigField;
+using workload::kMaxWireInteger;
 
-app::SchedulerKind SchedulerKindFromName(const std::string& name) {
-  if (name == "delay") return app::SchedulerKind::kDelay;
-  if (name == "locality_preferred") {
-    return app::SchedulerKind::kLocalityPreferred;
-  }
-  if (name == "fifo") return app::SchedulerKind::kFifo;
-  throw std::invalid_argument(
-      "scheduler.kind must be one of delay|locality_preferred|fifo (got \"" +
-      name + "\")");
-}
+/// The wire shape of ExperimentConfig, read off the field table once: the
+/// HTTP-settable leaf paths, the object paths that hold them, and the
+/// paths that exist but are not settable over HTTP.
+struct WireSchema {
+  std::set<std::string> leaves;
+  std::set<std::string> objects;
+  std::set<std::string> server_only;
 
-/// Walks one JSON object strictly: every visited key is ticked off, and
-/// `finish` throws on any member that no field claimed — the unknown-key
-/// rejection that keeps typos from silently running default configs.
-class ObjectScope {
- public:
-  ObjectScope(const JsonValue& value, std::string path)
-      : path_(std::move(path)) {
-    if (!value.is_object()) {
-      throw std::invalid_argument(path_ + " must be a JSON object (got " +
-                                  value.kind_name() + ")");
-    }
-    object_ = &value;
+  WireSchema() {
+    ExperimentConfig defaults;
+    workload::ForEachConfigField(
+        defaults, [this](const ConfigField& field, const auto&) {
+          const std::string path = field.path;
+          (field.http ? leaves : server_only).insert(path);
+          for (std::size_t dot = path.find('.'); dot != std::string::npos;
+               dot = path.find('.', dot + 1)) {
+            (field.http ? objects : server_only).insert(path.substr(0, dot));
+          }
+        });
   }
-
-  [[nodiscard]] const JsonValue* claim(const std::string& key) {
-    claimed_.insert(key);
-    return object_->find(key);
-  }
-
-  [[nodiscard]] std::string member_path(const std::string& key) const {
-    return path_ == "config" ? key : path_ + "." + key;
-  }
-
-  void finish() const {
-    for (const auto& [key, value] : object_->members()) {
-      (void)value;
-      if (claimed_.count(key) == 0) {
-        throw std::invalid_argument(member_path(key) +
-                                    " is not a recognized config field");
-      }
-    }
-  }
-
-  // Typed field readers; absent keys leave the default in place.
-  void number(const std::string& key, double& out) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_number()) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be a number (got " +
-                                    v->kind_name() + ")");
-      }
-      out = v->as_number();
-    }
-  }
-
-  void integer(const std::string& key, std::function<void(long long)> set) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_number() || v->as_number() != std::floor(v->as_number()) ||
-          std::fabs(v->as_number()) > 9.007199254740992e15) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be an integer");
-      }
-      set(static_cast<long long>(v->as_number()));
-    }
-  }
-
-  /// An integer stored in an `int` field: values outside int's range are
-  /// rejected rather than wrapped by the narrowing cast.
-  void int32(const std::string& key, int& out) {
-    integer(key, [&](long long v) {
-      if (v < std::numeric_limits<int>::min() ||
-          v > std::numeric_limits<int>::max()) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must fit in a 32-bit int (got " +
-                                    std::to_string(v) + ")");
-      }
-      out = static_cast<int>(v);
-    });
-  }
-
-  void boolean(const std::string& key, bool& out) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_bool()) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be a boolean (got " +
-                                    v->kind_name() + ")");
-      }
-      out = v->as_bool();
-    }
-  }
-
-  void string(const std::string& key, std::function<void(const std::string&)>
-                                          set) {
-    if (const JsonValue* v = claim(key)) {
-      if (!v->is_string()) {
-        throw std::invalid_argument(member_path(key) +
-                                    " must be a string (got " +
-                                    v->kind_name() + ")");
-      }
-      set(v->as_string());
-    }
-  }
-
- private:
-  const JsonValue* object_ = nullptr;
-  std::string path_;
-  std::set<std::string> claimed_;
 };
+
+const WireSchema& Schema() {
+  static const WireSchema schema;
+  return schema;
+}
+
+void RequireObject(const JsonValue& value, const std::string& path) {
+  if (!value.is_object()) {
+    throw std::invalid_argument(path + " must be a JSON object (got " +
+                                value.kind_name() + ")");
+  }
+}
+
+/// Strict unknown-key rejection, so a typo never silently runs a default.
+void CheckKeys(const JsonValue& object, const std::string& prefix) {
+  const WireSchema& schema = Schema();
+  for (const auto& [key, value] : object.members()) {
+    const std::string path = prefix.empty() ? key : prefix + "." + key;
+    if (schema.leaves.count(path) != 0) continue;
+    if (schema.objects.count(path) != 0) {
+      RequireObject(value, path);
+      CheckKeys(value, path);
+    } else if (schema.server_only.count(path) != 0) {
+      throw std::invalid_argument(
+          path + " is not settable over HTTP (server-side file I/O)");
+    } else {
+      throw std::invalid_argument(path + " is not a recognized config field");
+    }
+  }
+}
+
+/// The member at dotted `path`, or null when absent.  CheckKeys has
+/// already made every object on the way an object.
+const JsonValue* Find(const JsonValue& document, std::string_view path) {
+  const JsonValue* at = &document;
+  for (;;) {
+    const std::size_t dot = path.find('.');
+    at = at->find(std::string(path.substr(0, dot)));
+    if (at == nullptr || dot == std::string_view::npos) return at;
+    path.remove_prefix(dot + 1);
+  }
+}
+
+/// An integer in (-2^53, 2^53): the range JSON numbers carry exactly, so
+/// a literal beyond it (which parses onto a neighbour) is refused rather
+/// than silently changed.
+long long Integer(const JsonValue& v, const std::string& path) {
+  if (!v.is_number() || v.as_number() != std::floor(v.as_number()) ||
+      !(std::fabs(v.as_number()) <= static_cast<double>(kMaxWireInteger))) {
+    throw std::invalid_argument(path + " must be an integer of magnitude"
+                                " below 2^53");
+  }
+  return static_cast<long long>(v.as_number());
+}
+
+template <typename E>
+E EnumValue(const JsonValue& v, const std::string& path) {
+  const std::optional<E> value =
+      v.is_string() ? EnumFromName<E>(v.as_string()) : std::nullopt;
+  if (!value) {
+    throw std::invalid_argument(path + " must be one of " + EnumChoices<E>() +
+                                " (got " + (v.is_string()
+                                                ? "\"" + v.as_string() + "\""
+                                                : v.kind_name()) +
+                                ")");
+  }
+  return *value;
+}
+
+/// Type and range-of-type checks only; value rules are ValidateConfig's.
+template <typename T>
+void Decode(const JsonValue& v, const std::string& path, T& out) {
+  const auto mistyped = [&](const char* expected) {
+    throw std::invalid_argument(path + " must be " + expected + " (got " +
+                                v.kind_name() + ")");
+  };
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) mistyped("a boolean");
+    out = v.as_bool();
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number()) mistyped("a number");
+    out = v.as_number();
+  } else if constexpr (std::is_same_v<T, int>) {
+    const long long n = Integer(v, path);
+    if (n < std::numeric_limits<int>::min() ||
+        n > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument(path + " must fit in a 32-bit int (got " +
+                                  std::to_string(n) + ")");
+    }
+    out = static_cast<int>(n);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    const long long n = Integer(v, path);
+    if (n < 0) {
+      throw std::invalid_argument(path + " must be a non-negative integer");
+    }
+    out = static_cast<T>(n);
+  } else if constexpr (std::is_enum_v<T>) {
+    out = EnumValue<T>(v, path);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!v.is_string()) mistyped("a string");
+    out = v.as_string();
+  } else {
+    if (!v.is_array()) mistyped("an array");
+    out.clear();
+    for (const JsonValue& item : v.items()) {
+      out.push_back(EnumValue<typename T::value_type>(item, path));
+    }
+  }
+}
+
+void Encode(std::string& out, bool v) { out += v ? "true" : "false"; }
+void Encode(std::string& out, double v) { out += JsonNumber(v); }
+void Encode(std::string& out, const std::string& v) { out += JsonQuote(v); }
+template <typename T>
+  requires std::is_integral_v<T>
+void Encode(std::string& out, T v) {
+  out += std::to_string(v);
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void Encode(std::string& out, E v) {
+  out += JsonQuote(EnumToName(v));
+}
+template <typename E>
+void Encode(std::string& out, const std::vector<E>& items) {
+  out += '[';
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ',';
+    Encode(out, items[i]);
+  }
+  out += ']';
+}
 
 }  // namespace
 
 ExperimentConfig ConfigFromJson(const JsonValue& document) {
+  RequireObject(document, "config");
+  CheckKeys(document, "");
   ExperimentConfig config;
-  ObjectScope root(document, "config");
-
-  // Cluster.
-  root.integer("num_nodes", [&](long long v) {
-    if (v < 0) throw std::invalid_argument("num_nodes must be >= 0");
-    config.num_nodes = static_cast<std::size_t>(v);
-  });
-  root.int32("executors_per_node", config.executors_per_node);
-  root.number("disk_mbps", config.disk_mbps);
-  root.number("uplink_gbps", config.uplink_gbps);
-  root.number("downlink_gbps", config.downlink_gbps);
-  root.number("core_gbps", config.core_gbps);
-
-  // DFS.
-  root.number("block_mb", config.block_mb);
-  root.int32("replication", config.replication);
-  root.number("cache_mb_per_node", config.cache_mb_per_node);
-  if (const JsonValue* v = root.claim("dataset")) {
-    ObjectScope dataset(*v, "dataset");
-    dataset.int32("files_per_kind", config.dataset.files_per_kind);
-    dataset.number("zipf_skew", config.dataset.zipf_skew);
-    dataset.boolean("popularity_replication",
-                    config.dataset.popularity_replication);
-    dataset.int32("popularity_extra_replicas",
-                  config.dataset.popularity_extra_replicas);
-    dataset.number("hot_fraction", config.dataset.hot_fraction);
-    dataset.finish();
-  }
-
-  // Scheduling.
-  root.string("manager", [&](const std::string& name) {
-    config.manager = ManagerKindFromName(name);
-  });
-  if (const JsonValue* v = root.claim("allocator")) {
-    ObjectScope allocator(*v, "allocator");
-    allocator.boolean("locality_fair", config.allocator.locality_fair);
-    allocator.boolean("priority_jobs", config.allocator.priority_jobs);
-    allocator.finish();
-  }
-  if (const JsonValue* v = root.claim("scheduler")) {
-    ObjectScope scheduler(*v, "scheduler");
-    scheduler.string("kind", [&](const std::string& name) {
-      config.scheduler.kind = SchedulerKindFromName(name);
-    });
-    scheduler.number("locality_wait", config.scheduler.locality_wait);
-    scheduler.finish();
-  }
-  root.int32("shuffle_fan_in", config.shuffle_fan_in);
-  root.boolean("speculation", config.speculation);
-  root.number("speculation_multiplier", config.speculation_multiplier);
-  root.number("slow_node_fraction", config.slow_node_fraction);
-  root.number("slow_node_factor", config.slow_node_factor);
-  root.int32("node_failures", config.node_failures);
-  root.number("failure_start", config.failure_start);
-  root.number("failure_interval", config.failure_interval);
-
-  // Workload.
-  if (const JsonValue* v = root.claim("kinds")) {
-    if (!v->is_array()) {
-      throw std::invalid_argument("kinds must be an array of workload names");
-    }
-    config.kinds.clear();
-    for (const JsonValue& item : v->items()) {
-      if (!item.is_string()) {
-        throw std::invalid_argument(
-            "kinds must be an array of workload names");
-      }
-      config.kinds.push_back(WorkloadKindFromName(item.as_string()));
-    }
-  }
-  if (const JsonValue* v = root.claim("trace")) {
-    ObjectScope trace(*v, "trace");
-    trace.int32("num_apps", config.trace.num_apps);
-    trace.int32("jobs_per_app", config.trace.jobs_per_app);
-    trace.number("mean_interarrival", config.trace.mean_interarrival);
-    trace.number("zipf_skew", config.trace.zipf_skew);
-    trace.int32("files_per_kind", config.trace.files_per_kind);
-    trace.finish();
-  }
-  if (const JsonValue* v = root.claim("params")) {
-    ObjectScope params(*v, "params");
-    params.int32("pagerank_iterations", config.params.pagerank_iterations);
-    params.number("pagerank_compute_per_byte",
-                  config.params.pagerank_compute_per_byte);
-    params.number("pagerank_shuffle_ratio",
-                  config.params.pagerank_shuffle_ratio);
-    params.number("pagerank_iter_compute_per_byte",
-                  config.params.pagerank_iter_compute_per_byte);
-    params.number("wordcount_compute_per_byte",
-                  config.params.wordcount_compute_per_byte);
-    params.number("wordcount_shuffle_ratio",
-                  config.params.wordcount_shuffle_ratio);
-    params.number("wordcount_reduce_secs",
-                  config.params.wordcount_reduce_secs);
-    params.number("sort_compute_per_byte",
-                  config.params.sort_compute_per_byte);
-    params.number("sort_shuffle_ratio", config.params.sort_shuffle_ratio);
-    params.number("sort_reduce_compute_per_byte",
-                  config.params.sort_reduce_compute_per_byte);
-    params.finish();
-  }
-  if (const JsonValue* v = root.claim("steady")) {
-    ObjectScope steady(*v, "steady");
-    steady.boolean("enabled", config.steady.enabled);
-    steady.boolean("materialize_submissions",
-                   config.steady.materialize_submissions);
-    steady.boolean("retire_jobs", config.steady.retire_jobs);
-    steady.boolean("streaming_metrics", config.steady.streaming_metrics);
-    steady.number("warmup", config.steady.warmup);
-    steady.number("diurnal_amplitude", config.steady.diurnal_amplitude);
-    steady.number("diurnal_period", config.steady.diurnal_period);
-    steady.finish();
-  }
-  if (const JsonValue* v = root.claim("tracing")) {
-    ObjectScope tracing(*v, "tracing");
-    tracing.boolean("enabled", config.tracing.enabled);
-    tracing.integer("capacity", [&](long long n) {
-      if (n <= 0) throw std::invalid_argument("tracing.capacity must be > 0");
-      config.tracing.capacity = static_cast<std::size_t>(n);
-    });
-    tracing.finish();
-  }
-  if (root.claim("checkpoint") != nullptr) {
-    throw std::invalid_argument(
-        "checkpoint is not settable over HTTP (server-side file I/O)");
-  }
-  root.integer("seed", [&](long long v) {
-    if (v < 0) throw std::invalid_argument("seed must be >= 0");
-    config.seed = static_cast<std::uint64_t>(v);
-  });
-
-  root.finish();
+  workload::ForEachConfigField(
+      config, [&document](const ConfigField& field, auto& value) {
+        if (!field.http) return;
+        if (const JsonValue* v = Find(document, field.path)) {
+          Decode(*v, field.path, value);
+        }
+      });
   return config;
 }
 
@@ -310,90 +207,36 @@ ExperimentConfig ConfigFromJsonText(const std::string& text) {
 
 std::string ConfigToJson(const ExperimentConfig& config) {
   std::string out = "{";
-  const auto num = [&out](const char* key, double v, bool comma = true) {
-    out += std::string("\"") + key + "\":" + JsonNumber(v);
-    if (comma) out += ",";
-  };
-  const auto boolean = [&out](const char* key, bool v) {
-    out += std::string("\"") + key + "\":" + (v ? "true" : "false") + ",";
-  };
-  num("num_nodes", static_cast<double>(config.num_nodes));
-  num("executors_per_node", config.executors_per_node);
-  num("disk_mbps", config.disk_mbps);
-  num("uplink_gbps", config.uplink_gbps);
-  num("downlink_gbps", config.downlink_gbps);
-  num("core_gbps", config.core_gbps);
-  num("block_mb", config.block_mb);
-  num("replication", config.replication);
-  num("cache_mb_per_node", config.cache_mb_per_node);
-  out += "\"dataset\":{";
-  num("files_per_kind", config.dataset.files_per_kind);
-  num("zipf_skew", config.dataset.zipf_skew);
-  boolean("popularity_replication", config.dataset.popularity_replication);
-  num("popularity_extra_replicas", config.dataset.popularity_extra_replicas);
-  num("hot_fraction", config.dataset.hot_fraction, /*comma=*/false);
-  out += "},";
-  out += "\"manager\":" + JsonQuote(ManagerName(config.manager)) + ",";
-  out += "\"allocator\":{";
-  boolean("locality_fair", config.allocator.locality_fair);
-  out += "\"priority_jobs\":";
-  out += config.allocator.priority_jobs ? "true" : "false";
-  out += "},";
-  out += "\"scheduler\":{";
-  out += "\"kind\":" + JsonQuote(SchedulerName(config.scheduler.kind)) + ",";
-  num("locality_wait", config.scheduler.locality_wait, /*comma=*/false);
-  out += "},";
-  num("shuffle_fan_in", config.shuffle_fan_in);
-  boolean("speculation", config.speculation);
-  num("speculation_multiplier", config.speculation_multiplier);
-  num("slow_node_fraction", config.slow_node_fraction);
-  num("slow_node_factor", config.slow_node_factor);
-  num("node_failures", config.node_failures);
-  num("failure_start", config.failure_start);
-  num("failure_interval", config.failure_interval);
-  out += "\"kinds\":[";
-  for (std::size_t i = 0; i < config.kinds.size(); ++i) {
-    if (i > 0) out += ",";
-    out += JsonQuote(WorkloadName(config.kinds[i]));
-  }
-  out += "],";
-  out += "\"trace\":{";
-  num("num_apps", config.trace.num_apps);
-  num("jobs_per_app", config.trace.jobs_per_app);
-  num("mean_interarrival", config.trace.mean_interarrival);
-  num("zipf_skew", config.trace.zipf_skew);
-  num("files_per_kind", config.trace.files_per_kind, /*comma=*/false);
-  out += "},";
-  out += "\"params\":{";
-  num("pagerank_iterations", config.params.pagerank_iterations);
-  num("pagerank_compute_per_byte", config.params.pagerank_compute_per_byte);
-  num("pagerank_shuffle_ratio", config.params.pagerank_shuffle_ratio);
-  num("pagerank_iter_compute_per_byte",
-      config.params.pagerank_iter_compute_per_byte);
-  num("wordcount_compute_per_byte", config.params.wordcount_compute_per_byte);
-  num("wordcount_shuffle_ratio", config.params.wordcount_shuffle_ratio);
-  num("wordcount_reduce_secs", config.params.wordcount_reduce_secs);
-  num("sort_compute_per_byte", config.params.sort_compute_per_byte);
-  num("sort_shuffle_ratio", config.params.sort_shuffle_ratio);
-  num("sort_reduce_compute_per_byte",
-      config.params.sort_reduce_compute_per_byte, /*comma=*/false);
-  out += "},";
-  out += "\"steady\":{";
-  boolean("enabled", config.steady.enabled);
-  boolean("materialize_submissions", config.steady.materialize_submissions);
-  boolean("retire_jobs", config.steady.retire_jobs);
-  boolean("streaming_metrics", config.steady.streaming_metrics);
-  num("warmup", config.steady.warmup);
-  num("diurnal_amplitude", config.steady.diurnal_amplitude);
-  num("diurnal_period", config.steady.diurnal_period, /*comma=*/false);
-  out += "},";
-  out += "\"tracing\":{";
-  boolean("enabled", config.tracing.enabled);
-  num("capacity", static_cast<double>(config.tracing.capacity),
-      /*comma=*/false);
-  out += "},";
-  num("seed", static_cast<double>(config.seed), /*comma=*/false);
-  out += "}";
+  // The objects currently open, as a dotted prefix ("" at the root).
+  std::string_view open;
+  workload::ForEachConfigField(
+      config, [&](const ConfigField& field, const auto& value) {
+        if (!field.http) return;
+        const std::string_view path = field.path;
+        const std::size_t dot = path.rfind('.');
+        const std::string_view parent =
+            dot == std::string_view::npos ? "" : path.substr(0, dot);
+        // Table entries sharing a prefix are contiguous, so one close and
+        // one open per prefix change suffice (nesting is one level deep).
+        if (parent != open) {
+          if (!open.empty()) out += '}';
+          if (out.size() > 1) out += ',';
+          if (!parent.empty()) {
+            out += '"';
+            out += parent;
+            out += "\":{";
+          }
+          open = parent;
+        } else if (out.size() > 1) {
+          out += ',';
+        }
+        out += '"';
+        out += path.substr(dot + 1);
+        out += "\":";
+        Encode(out, value);
+      });
+  if (!open.empty()) out += '}';
+  out += '}';
   return out;
 }
 

@@ -1,15 +1,24 @@
 // The wire codec between control-plane JSON and the workload types.
 //
-// Decoding is strict: unknown keys, wrong types and out-of-range values
-// all throw std::invalid_argument whose message LEADS WITH THE FIELD PATH
-// ("trace.num_apps must be an integer"), which the router surfaces as the
-// structured "field" member of its 400 response.  ValidateConfig then
-// range-checks the decoded config with the same convention.
+// Both config directions walk the field table (workload/config_fields.h):
+// every entry marked `http` is one JSON member, nested objects come from
+// the path prefixes, and enum values travel as the names in the table kept
+// beside each enum.  A new config field needs no edit here.
 //
-// Encoding round-trips exactly: doubles are printed with %.17g, so
+// Decoding is strict: unknown keys, wrong types and values outside the
+// field's type (an int that does not fit, an integer beyond 2^53) all
+// throw std::invalid_argument whose message LEADS WITH THE FIELD PATH
+// ("manager must be one of standalone|custody|offer|pool ..."), which the
+// router surfaces as the structured "field" member of its 400 response.
+// Value rules are not the decoder's: ValidateConfig applies them, with the
+// same convention, to HTTP and in-process configs alike.
+//
+// Encoding round-trips exactly: doubles are printed with %.17g and
+// integers in full, so for every config ValidateConfig accepts,
 // ConfigFromJson(Parse(ConfigToJson(c))) == c field-for-field and an
 // HTTP-submitted config runs bit-identically to the in-process one (the
-// svc determinism contract, pinned in svc_test.cpp).
+// svc determinism contract, pinned in svc_test.cpp and
+// config_fields_test.cpp).
 #pragma once
 
 #include <string>
@@ -33,7 +42,8 @@ namespace custody::svc {
 [[nodiscard]] workload::ExperimentConfig ConfigFromJsonText(
     const std::string& text);
 
-/// Every HTTP-settable knob, exactly (defaults included).
+/// Every HTTP-settable knob, exactly (defaults included).  Throws on a
+/// non-finite double, which ValidateConfig rejects.
 [[nodiscard]] std::string ConfigToJson(
     const workload::ExperimentConfig& config);
 
@@ -43,10 +53,5 @@ namespace custody::svc {
 /// by its own endpoint, not inlined here).
 [[nodiscard]] std::string ResultToJson(
     const workload::ExperimentResult& result);
-
-[[nodiscard]] cluster::ManagerKind ManagerKindFromName(
-    const std::string& name);
-[[nodiscard]] workload::WorkloadKind WorkloadKindFromName(
-    const std::string& name);
 
 }  // namespace custody::svc

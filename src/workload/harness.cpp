@@ -1,6 +1,7 @@
 #include "workload/harness.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -10,11 +11,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/manager_factory.h"
 #include "common/log.h"
 #include "metrics/metrics.h"
+#include "workload/config_fields.h"
 #include "workload/failures.h"
 
 namespace custody::workload {
@@ -27,123 +30,93 @@ namespace {
 
 std::string Num(double v) { return std::to_string(v); }
 
+/// One table bound on a numeric value (integers arrive exact: the 64-bit
+/// ones are capped at kMaxWireInteger first, the others are int).
+void CheckBound(const ConfigField& field, double v, const std::string& shown) {
+  const char* rule = nullptr;
+  switch (field.bound) {
+    case Bound::kNone:
+      return;
+    case Bound::kPositive:
+      if (!(v > 0.0)) rule = "must be > 0";
+      break;
+    case Bound::kNonNegative:
+      if (!(v >= 0.0)) rule = "must be >= 0";
+      break;
+    case Bound::kUnit:
+      if (!(v >= 0.0 && v <= 1.0)) rule = "must be in [0, 1]";
+      break;
+    case Bound::kUnitOpen:
+      if (!(v >= 0.0 && v < 1.0)) rule = "must be in [0, 1)";
+      break;
+  }
+  if (rule != nullptr) {
+    FailConfig(std::string(field.path) + " " + rule + " (got " + shown + ")");
+  }
+}
+
 }  // namespace
 
 void ValidateConfig(const ExperimentConfig& config) {
-  // Cluster.
-  if (config.num_nodes == 0) FailConfig("num_nodes must be > 0");
-  if (config.executors_per_node <= 0) {
-    FailConfig("executors_per_node must be > 0 (got " +
-               std::to_string(config.executors_per_node) + ")");
-  }
-  if (config.disk_mbps <= 0.0) {
-    FailConfig("disk_mbps must be > 0 (got " + Num(config.disk_mbps) + ")");
-  }
-  if (config.uplink_gbps <= 0.0) {
-    FailConfig("uplink_gbps must be > 0 (got " + Num(config.uplink_gbps) +
-               ")");
-  }
-  if (config.downlink_gbps <= 0.0) {
-    FailConfig("downlink_gbps must be > 0 (got " + Num(config.downlink_gbps) +
-               ")");
-  }
-  if (config.core_gbps < 0.0) {
-    FailConfig("core_gbps must be >= 0, where 0 means non-blocking (got " +
-               Num(config.core_gbps) + ")");
-  }
-  // DFS.
-  if (config.block_mb <= 0.0) {
-    FailConfig("block_mb must be > 0 (got " + Num(config.block_mb) + ")");
-  }
-  if (config.replication < 1) {
-    FailConfig("replication must be >= 1 (got " +
-               std::to_string(config.replication) + ")");
-  }
-  if (config.cache_mb_per_node < 0.0) {
-    FailConfig("cache_mb_per_node must be >= 0 (got " +
-               Num(config.cache_mb_per_node) + ")");
-  }
-  if (config.dataset.hot_fraction < 0.0 || config.dataset.hot_fraction > 1.0) {
-    FailConfig("dataset.hot_fraction must be in [0, 1] (got " +
-               Num(config.dataset.hot_fraction) + ")");
-  }
-  if (config.dataset.popularity_extra_replicas < 0) {
-    FailConfig("dataset.popularity_extra_replicas must be >= 0 (got " +
-               std::to_string(config.dataset.popularity_extra_replicas) + ")");
-  }
-  // Scheduling.
-  if (config.shuffle_fan_in <= 0) {
-    FailConfig("shuffle_fan_in must be > 0 (got " +
-               std::to_string(config.shuffle_fan_in) + ")");
-  }
-  if (config.speculation && config.speculation_multiplier <= 1.0) {
+  // Per-field rules, from the table.  Every message leads with the field's
+  // path: the svc layer maps these diagnostics onto structured 400
+  // responses whose `field` is the first token of the message.
+  ForEachConfigField(config, [](const ConfigField& field, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, double>) {
+      if (!std::isfinite(value)) {
+        FailConfig(std::string(field.path) + " must be finite (got " +
+                   Num(value) + ")");
+      }
+      CheckBound(field, value, Num(value));
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+      if constexpr (std::is_unsigned_v<T>) {
+        if (value > kMaxWireInteger) {
+          FailConfig(std::string(field.path) + " must be < 2^53 (got " +
+                     std::to_string(value) + ")");
+        }
+      }
+      CheckBound(field, static_cast<double>(value), std::to_string(value));
+    } else if constexpr (std::is_same_v<T, std::vector<WorkloadKind>>) {
+      if (field.bound == Bound::kPositive && value.empty()) {
+        FailConfig(std::string(field.path) + " must not be empty");
+      }
+    }
+  });
+
+  // Cross-field rules.
+  if (config.speculation && !(config.speculation_multiplier > 1.0)) {
     FailConfig("speculation_multiplier must exceed 1 (got " +
                Num(config.speculation_multiplier) + ")");
   }
-  // Heterogeneity and failures.
-  if (config.slow_node_fraction < 0.0 || config.slow_node_fraction > 1.0) {
-    FailConfig("slow_node_fraction must be in [0, 1] (got " +
-               Num(config.slow_node_fraction) + ")");
-  }
-  if (config.slow_node_factor <= 0.0) {
-    FailConfig("slow_node_factor must be > 0 (got " +
-               Num(config.slow_node_factor) + ")");
-  }
-  if (config.node_failures < 0) {
-    FailConfig("node_failures must be >= 0 (got " +
-               std::to_string(config.node_failures) + ")");
-  }
-  if (config.node_failures > 0 && config.failure_start < 0.0) {
+  if (config.node_failures > 0 && !(config.failure_start >= 0.0)) {
     FailConfig("failure_start must be >= 0 (got " +
                Num(config.failure_start) + ")");
   }
-  if (config.node_failures > 1 && config.failure_interval <= 0.0) {
+  if (config.node_failures > 1 && !(config.failure_interval > 0.0)) {
     FailConfig("failure_interval must be > 0 to space multiple crashes"
                " (got " + Num(config.failure_interval) + ")");
   }
-  // Workload.
-  // Every message leads with the offending field name: the svc layer maps
-  // these diagnostics onto structured 400 responses whose `field` is the
-  // first token of the message.
-  if (config.kinds.empty()) FailConfig("kinds must name at least one workload");
-  if (config.trace.num_apps <= 0) {
-    FailConfig("trace.num_apps must be > 0 (got " +
-               std::to_string(config.trace.num_apps) + ")");
+  // Every block needs its replicas on distinct nodes.
+  const auto replication = static_cast<std::uint64_t>(config.replication);
+  if (replication > config.num_nodes) {
+    FailConfig("replication must not exceed num_nodes (got " +
+               std::to_string(replication) + " > " +
+               std::to_string(config.num_nodes) + ")");
   }
-  if (config.trace.jobs_per_app <= 0) {
-    FailConfig("trace.jobs_per_app must be > 0 (got " +
-               std::to_string(config.trace.jobs_per_app) + ")");
-  }
-  if (config.trace.mean_interarrival <= 0.0) {
-    FailConfig("trace.mean_interarrival must be > 0 (got " +
-               Num(config.trace.mean_interarrival) + ")");
-  }
-  if (config.trace.zipf_skew < 0.0) {
-    FailConfig("trace.zipf_skew must be >= 0 (got " +
-               Num(config.trace.zipf_skew) + ")");
-  }
-  if (config.trace.files_per_kind <= 0) {
-    FailConfig("trace.files_per_kind must be > 0 (got " +
-               std::to_string(config.trace.files_per_kind) + ")");
-  }
-  // Steady-state streaming.
-  if (config.steady.warmup < 0.0) {
-    FailConfig("steady.warmup must be >= 0 (got " + Num(config.steady.warmup) +
-               ")");
-  }
-  if (config.steady.diurnal_amplitude < 0.0 ||
-      config.steady.diurnal_amplitude >= 1.0) {
-    FailConfig("steady.diurnal_amplitude must be in [0, 1) so the arrival"
-               " rate stays positive (got " +
-               Num(config.steady.diurnal_amplitude) + ")");
+  const auto extra =
+      static_cast<std::uint64_t>(config.dataset.popularity_extra_replicas);
+  if (config.dataset.popularity_replication &&
+      replication + extra > config.num_nodes) {
+    FailConfig("dataset.popularity_extra_replicas plus replication must not"
+               " exceed num_nodes (got " + std::to_string(extra) + " + " +
+               std::to_string(replication) + " > " +
+               std::to_string(config.num_nodes) + ")");
   }
   if (config.steady.diurnal_amplitude > 0.0 &&
-      config.steady.diurnal_period <= 0.0) {
+      !(config.steady.diurnal_period > 0.0)) {
     FailConfig("steady.diurnal_period must be > 0 when diurnal_amplitude is"
                " set (got " + Num(config.steady.diurnal_period) + ")");
-  }
-  if (config.steady.materialize_submissions && !config.steady.enabled) {
-    FailConfig("steady.materialize_submissions requires steady.enabled");
   }
   if (config.steady.enabled && config.steady.retire_jobs &&
       !config.steady.streaming_metrics) {
@@ -151,14 +124,8 @@ void ValidateConfig(const ExperimentConfig& config) {
                " retiring jobs while exact metrics keep per-job records"
                " would not bound memory");
   }
-  // Tracing.
   if (config.tracing.enabled && config.tracing.capacity == 0) {
     FailConfig("tracing.capacity must be > 0 when tracing is enabled");
-  }
-  // Checkpoint/resume.
-  if (config.checkpoint.every < 0.0) {
-    FailConfig("checkpoint.every must be >= 0, where 0 disables periodic"
-               " checkpoints (got " + Num(config.checkpoint.every) + ")");
   }
   if (config.checkpoint.every > 0.0 && config.checkpoint.directory.empty()) {
     FailConfig("checkpoint.directory must be non-empty when checkpoint.every"
@@ -189,9 +156,6 @@ SubstrateSnapshot SubstrateSnapshot::Build(ExperimentConfig config) {
   const Rng base(config.seed);
 
   // Dataset catalog plan (shared across compared managers).
-  snapshot.dataset_config_ = config.dataset;
-  snapshot.dataset_config_.files_per_kind = config.trace.files_per_kind;
-  snapshot.dataset_config_.zipf_skew = config.trace.zipf_skew;
   Rng dataset_rng = base.fork(2);
   for (WorkloadKind kind : config.kinds) {
     bool seen = false;
@@ -203,7 +167,8 @@ SubstrateSnapshot SubstrateSnapshot::Build(ExperimentConfig config) {
     }
     if (seen) continue;
     snapshot.dataset_plans_.push_back(
-        {kind, PlanDataset(kind, snapshot.dataset_config_, dataset_rng)});
+        {kind, PlanDataset(kind, config.trace.files_per_kind, config.dataset,
+                           dataset_rng)});
   }
 
   // Submission schedule.  Steady-state mode generates submissions lazily
@@ -291,8 +256,7 @@ SimulationContext::SimulationContext(const SubstrateSnapshot& snapshot)
   }
   for (const SubstrateSnapshot::DatasetPlan& plan : snapshot.dataset_plans()) {
     datasets_.emplace(plan.kind,
-                      MaterializeDataset(dfs_, plan.kind,
-                                         snapshot.dataset_config(),
+                      MaterializeDataset(dfs_, plan.kind, config.dataset,
                                          plan.files));
   }
 }
@@ -308,94 +272,43 @@ core::BlockLocationsFn SimulationContext::block_locations() {
 // ConfigHash
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Canonical byte serialization for hashing: fixed-width little-endian
-/// fields appended in a fixed order (no framing — the hash is the frame).
-struct HashSink {
-  std::vector<std::uint8_t> bytes;
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t raw = 0;
-    std::memcpy(&raw, &v, sizeof raw);
-    u64(raw);
-  }
-  void b(bool v) { u64(v ? 1 : 0); }
-};
-
-}  // namespace
-
 std::uint64_t ConfigHash(const ExperimentConfig& config, ManagerKind manager) {
-  HashSink h;
-  h.u64(2);  // hash-layout salt: bump when fields change or are reordered
-  // Cluster.
-  h.u64(config.num_nodes);
-  h.i64(config.executors_per_node);
-  h.f64(config.disk_mbps);
-  h.f64(config.uplink_gbps);
-  h.f64(config.downlink_gbps);
-  h.f64(config.core_gbps);
-  // DFS.
-  h.f64(config.block_mb);
-  h.i64(config.replication);
-  h.i64(config.dataset.files_per_kind);
-  h.f64(config.dataset.zipf_skew);
-  h.b(config.dataset.popularity_replication);
-  h.i64(config.dataset.popularity_extra_replicas);
-  h.f64(config.dataset.hot_fraction);
-  h.f64(config.cache_mb_per_node);
-  // Scheduling — the manager actually run, not config.manager (RunOnSnapshot
-  // may replay one snapshot under several kinds).
-  h.u64(static_cast<std::uint64_t>(manager));
-  h.b(config.allocator.locality_fair);
-  h.b(config.allocator.priority_jobs);
-  h.u64(static_cast<std::uint64_t>(config.scheduler.kind));
-  h.f64(config.scheduler.locality_wait);
-  h.i64(config.shuffle_fan_in);
-  h.b(config.speculation);
-  h.f64(config.speculation_multiplier);
-  // Heterogeneity and failures.
-  h.f64(config.slow_node_fraction);
-  h.f64(config.slow_node_factor);
-  h.i64(config.node_failures);
-  h.f64(config.failure_start);
-  h.f64(config.failure_interval);
-  // Workload.
-  h.u64(config.kinds.size());
-  for (const WorkloadKind kind : config.kinds) {
-    h.u64(static_cast<std::uint64_t>(kind));
-  }
-  h.i64(config.trace.num_apps);
-  h.i64(config.trace.jobs_per_app);
-  h.f64(config.trace.mean_interarrival);
-  h.f64(config.trace.zipf_skew);
-  h.i64(config.trace.files_per_kind);
-  h.i64(config.params.pagerank_iterations);
-  h.f64(config.params.pagerank_compute_per_byte);
-  h.f64(config.params.pagerank_shuffle_ratio);
-  h.f64(config.params.pagerank_iter_compute_per_byte);
-  h.f64(config.params.wordcount_compute_per_byte);
-  h.f64(config.params.wordcount_shuffle_ratio);
-  h.f64(config.params.wordcount_reduce_secs);
-  h.f64(config.params.sort_compute_per_byte);
-  h.f64(config.params.sort_shuffle_ratio);
-  h.f64(config.params.sort_reduce_compute_per_byte);
-  // Steady state.
-  h.b(config.steady.enabled);
-  h.b(config.steady.materialize_submissions);
-  h.b(config.steady.retire_jobs);
-  h.b(config.steady.streaming_metrics);
-  h.f64(config.steady.warmup);
-  h.f64(config.steady.diurnal_amplitude);
-  h.f64(config.steady.diurnal_period);
-  h.u64(config.seed);
-  return snap::Fnv1a(h.bytes.data(), h.bytes.size());
+  // FNV-1a over each hashed field's NUL-terminated path, then its value as
+  // fixed-width little-endian bytes; adding, removing or reordering a table
+  // entry changes the hash by itself.
+  std::uint64_t hash = snap::Fnv1a(nullptr, 0);  // the offset basis
+  const auto put = [&hash](std::uint64_t v) {
+    std::uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    hash = snap::Fnv1a(bytes, sizeof bytes, hash);
+  };
+  ForEachConfigField(config, [&](const ConfigField& field, const auto& value) {
+    if (!field.hashed) return;
+    hash = snap::Fnv1a(reinterpret_cast<const std::uint8_t*>(field.path),
+                       std::strlen(field.path) + 1, hash);
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, ManagerKind>) {
+      // The manager actually run, not config.manager: RunOnSnapshot may
+      // replay one snapshot under several kinds.
+      put(static_cast<std::uint64_t>(manager));
+    } else if constexpr (std::is_same_v<T, double>) {
+      std::uint64_t raw = 0;
+      std::memcpy(&raw, &value, sizeof raw);
+      put(raw);
+    } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+      put(static_cast<std::uint64_t>(value));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      put(value.size());
+      hash = snap::Fnv1a(reinterpret_cast<const std::uint8_t*>(value.data()),
+                         value.size(), hash);
+    } else {
+      put(value.size());
+      for (const auto& item : value) put(static_cast<std::uint64_t>(item));
+    }
+  });
+  return hash;
 }
 
 // ---------------------------------------------------------------------------
@@ -465,13 +378,6 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
   // --- arm the submission schedule -----------------------------------------
   if (!config.steady.enabled) {
     schedule_ = &snapshot.trace();
-  } else if (config.steady.materialize_submissions) {
-    // Reference sub-mode: same stream, drained up front and posted like the
-    // classic trace.  The equivalence tests pin the lazy pump against this.
-    drained_ = DrainStream(snapshot.make_submission_stream());
-    schedule_ = &drained_;
-  }
-  if (schedule_ != nullptr) {
     // The schedule is time-sorted and the posts are consecutive, so entries
     // fire exactly in index order with seq = first_submission_seq_ + i —
     // which is all a snapshot needs to re-arm the unfired tail.
@@ -600,8 +506,8 @@ void LiveRun::set_arrival_rate_scale(double factor) {
   if (stream_ == nullptr) {
     throw std::invalid_argument(
         "arrival-rate perturbation requires a steady-state lazy-stream run "
-        "(steady.enabled with materialize_submissions off): the classic "
-        "schedule is posted up front and cannot be rescaled");
+        "(steady.enabled): the classic schedule is posted up front and "
+        "cannot be rescaled");
   }
   stream_->set_rate_scale(factor);
 }

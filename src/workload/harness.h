@@ -2,7 +2,9 @@
 //
 //   ValidateConfig     — every knob range-checked up front, with the
 //                        offending field named in the exception, instead of
-//                        failing deep inside a substrate constructor.
+//                        failing deep inside a substrate constructor.  The
+//                        per-field bounds come from the field table in
+//                        config_fields.h; cross-field rules follow it.
 //   SubstrateSnapshot  — the seed-deterministic, manager-INDEPENDENT inputs
 //                        of an experiment (dataset catalog plan, submission
 //                        trace, slow-node plan, failure stream), built once
@@ -48,8 +50,11 @@
 namespace custody::workload {
 
 /// Range-check every ExperimentConfig knob; throws std::invalid_argument
-/// naming the bad field and its value.  RunExperiment, SubstrateSnapshot
-/// and the sweep engine all call this before building anything.
+/// whose message leads with the bad field's path.  Enforces each field
+/// table bound (doubles must also be finite, 64-bit integers below 2^53 so
+/// every accepted config round-trips through the JSON codec), then the
+/// cross-field rules.  RunExperiment, SubstrateSnapshot, the sweep engine
+/// and the svc services all call this before building anything.
 void ValidateConfig(const ExperimentConfig& config);
 
 /// The manager-independent inputs of one experiment, derived only from
@@ -61,11 +66,6 @@ class SubstrateSnapshot {
   static SubstrateSnapshot Build(ExperimentConfig config);
 
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
-  /// The effective dataset config (trace knobs folded in, as the
-  /// monolithic runner did).
-  [[nodiscard]] const DatasetConfig& dataset_config() const {
-    return dataset_config_;
-  }
 
   struct DatasetPlan {
     WorkloadKind kind;
@@ -96,7 +96,6 @@ class SubstrateSnapshot {
   SubstrateSnapshot() = default;
 
   ExperimentConfig config_;
-  DatasetConfig dataset_config_;
   std::vector<DatasetPlan> dataset_plans_;
   std::vector<Submission> trace_;
   std::vector<NodeId> slow_nodes_;
@@ -180,11 +179,12 @@ class RunCancelled : public std::runtime_error {
   RunCancelled() : std::runtime_error("run cancelled via RunControl") {}
 };
 
-/// Canonical 64-bit hash over every determinism-relevant config knob plus
-/// the manager kind actually run.  Stored in the snapshot header so a
-/// restore onto a different config or manager fails loudly instead of
-/// silently diverging.  Excludes the checkpoint and tracing knobs: they
-/// never influence simulation state.
+/// Canonical 64-bit hash over the path and value of every field table
+/// entry marked `hashed`, with `manager` (the kind actually run) in place
+/// of config.manager.  Stored in the snapshot header so a restore onto a
+/// different config or manager fails loudly instead of silently diverging.
+/// The checkpoint and tracing knobs are not hashed: they never influence
+/// simulation state.
 [[nodiscard]] std::uint64_t ConfigHash(const ExperimentConfig& config,
                                        ManagerKind manager);
 
@@ -263,7 +263,7 @@ class LiveRun {
 
  private:
   void submit_one(const Submission& s);
-  /// Fire the `i`-th entry of the posted schedule (classic/materialized).
+  /// Fire the `i`-th entry of the posted classic schedule.
   void fire_submission(std::size_t i);
   /// Fire the `k`-th failure injection.
   void fire_failure(int k);
@@ -281,10 +281,9 @@ class LiveRun {
   std::vector<std::unique_ptr<app::Application>> apps_;
 
   // --- submission source ---------------------------------------------------
-  // Classic trace and the materialized steady-state reference post every
-  // submission up front (consecutive seqs, fired in index order); the lazy
-  // pump holds one future arrival and re-arms itself.
-  std::vector<Submission> drained_;  ///< materialize-mode storage
+  // The classic trace posts every submission up front (consecutive seqs,
+  // fired in index order); the steady-state lazy pump holds one future
+  // arrival and re-arms itself.
   const std::vector<Submission>* schedule_ = nullptr;
   std::uint64_t submissions_fired_ = 0;
   std::uint64_t first_submission_seq_ = 0;

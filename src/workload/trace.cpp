@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <numbers>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -245,16 +246,12 @@ std::vector<Submission> LoadTrace(const std::string& path) {
       throw std::runtime_error("LoadTrace: bad number on row " +
                                std::to_string(line_no));
     }
-    if (kind_s == "PageRank") {
-      s.kind = WorkloadKind::kPageRank;
-    } else if (kind_s == "WordCount") {
-      s.kind = WorkloadKind::kWordCount;
-    } else if (kind_s == "Sort") {
-      s.kind = WorkloadKind::kSort;
-    } else {
+    const std::optional<WorkloadKind> kind = EnumFromName<WorkloadKind>(kind_s);
+    if (!kind) {
       throw std::runtime_error("LoadTrace: unknown workload '" + kind_s +
                                "' on row " + std::to_string(line_no));
     }
+    s.kind = *kind;
     if (s.time < 0.0 || s.app_index < 0) {
       throw std::runtime_error("LoadTrace: negative value on row " +
                                std::to_string(line_no));

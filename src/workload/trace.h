@@ -53,11 +53,6 @@ struct TraceConfig {
 struct SteadyStateConfig {
   /// Master switch.  Off (the default) runs the classic materialized trace.
   bool enabled = false;
-  /// Reference sub-mode for equivalence tests: drain the stream up front
-  /// and post every submission before the run starts, exactly like the
-  /// classic path does with its trace.  Scheduling decisions must be
-  /// bit-identical to the lazy pump.
-  bool materialize_submissions = false;
   /// Destroy finished jobs (stages and task records included) through the
   /// application's job pool the moment they complete.
   bool retire_jobs = true;
@@ -137,7 +132,8 @@ class SubmissionStream {
   double rate_scale_ = 1.0;
 };
 
-/// Drain a stream into a vector (equivalence tests, reference sub-mode).
+/// Drain a stream into a vector (the tests compare lazy consumption
+/// against it).
 std::vector<Submission> DrainStream(SubmissionStream stream);
 
 /// Generate the submission schedule for a single-workload experiment.

@@ -7,21 +7,9 @@
 
 namespace custody::workload {
 
-const char* WorkloadName(WorkloadKind kind) {
-  switch (kind) {
-    case WorkloadKind::kPageRank:
-      return "PageRank";
-    case WorkloadKind::kWordCount:
-      return "WordCount";
-    case WorkloadKind::kSort:
-      return "Sort";
-  }
-  return "unknown";
-}
-
-std::vector<FileSpec> PlanDataset(WorkloadKind kind,
+std::vector<FileSpec> PlanDataset(WorkloadKind kind, int files_per_kind,
                                   const DatasetConfig& config, Rng& rng) {
-  if (config.files_per_kind <= 0) {
+  if (files_per_kind <= 0) {
     throw std::invalid_argument("PlanDataset: files_per_kind must be > 0");
   }
   // Hot-file count: ceil keeps any non-zero fraction from rounding to zero
@@ -30,12 +18,12 @@ std::vector<FileSpec> PlanDataset(WorkloadKind kind,
   // above an integer and ceil to one extra file, and hot_fraction = 1.0
   // plus FP error could exceed files_per_kind outright.  Clamp to the valid
   // range and shave sub-ulp excess before the ceil.
-  const double hot_exact = config.hot_fraction * config.files_per_kind;
+  const double hot_exact = config.hot_fraction * files_per_kind;
   const int hot_files = std::clamp(
-      static_cast<int>(std::ceil(hot_exact - 1e-9)), 0, config.files_per_kind);
+      static_cast<int>(std::ceil(hot_exact - 1e-9)), 0, files_per_kind);
   std::vector<FileSpec> plan;
-  plan.reserve(static_cast<std::size_t>(config.files_per_kind));
-  for (int i = 0; i < config.files_per_kind; ++i) {
+  plan.reserve(static_cast<std::size_t>(files_per_kind));
+  for (int i = 0; i < files_per_kind; ++i) {
     FileSpec spec;
     switch (kind) {
       case WorkloadKind::kPageRank:
@@ -74,9 +62,10 @@ Dataset MaterializeDataset(dfs::Dfs& dfs, WorkloadKind kind,
   return dataset;
 }
 
-Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind,
+Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind, int files_per_kind,
                      const DatasetConfig& config, Rng& rng) {
-  return MaterializeDataset(dfs, kind, config, PlanDataset(kind, config, rng));
+  return MaterializeDataset(dfs, kind, config,
+                            PlanDataset(kind, files_per_kind, config, rng));
 }
 
 app::JobSpec MakeJobSpec(WorkloadKind kind, FileId file, const dfs::Dfs& dfs,

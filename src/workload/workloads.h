@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "app/job.h"
+#include "common/enum_names.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "dfs/dfs.h"
@@ -25,7 +26,18 @@ namespace custody::workload {
 
 enum class WorkloadKind { kPageRank, kWordCount, kSort };
 
-[[nodiscard]] const char* WorkloadName(WorkloadKind kind);
+inline constexpr EnumName<WorkloadKind> kWorkloadKindNames[] = {
+    {WorkloadKind::kPageRank, "PageRank"},
+    {WorkloadKind::kWordCount, "WordCount"},
+    {WorkloadKind::kSort, "Sort"},
+};
+constexpr std::span<const EnumName<WorkloadKind>> EnumNames(WorkloadKind) {
+  return kWorkloadKindNames;
+}
+
+[[nodiscard]] inline const char* WorkloadName(WorkloadKind kind) {
+  return EnumToName(kind);
+}
 
 /// Per-workload cost model.  Compute rates are seconds of CPU per byte of
 /// input; shuffle ratios are bytes shuffled per byte of input.
@@ -51,10 +63,9 @@ struct Dataset {
   std::vector<FileId> files;
 };
 
+/// How a workload's catalog is replicated.  The catalog's size and its
+/// popularity skew come from TraceConfig, which also draws the submissions.
 struct DatasetConfig {
-  int files_per_kind = 12;
-  /// Zipf exponent for file popularity (0 = uniform).
-  double zipf_skew = 0.8;
   /// Scarlett-style: extra replicas for the hottest files.
   bool popularity_replication = false;
   int popularity_extra_replicas = 2;
@@ -71,10 +82,10 @@ struct FileSpec {
   bool hot = false;  ///< receives the Scarlett-style popularity boost
 };
 
-/// Draw the catalog of `kind` from `rng` without touching a DFS.  File
-/// sizes follow the paper: PageRank 1 GB; WordCount uniform in [4, 8] GB;
-/// Sort in [1, 8] GB.
-std::vector<FileSpec> PlanDataset(WorkloadKind kind,
+/// Draw the `files_per_kind` catalog files of `kind` from `rng` without
+/// touching a DFS.  File sizes follow the paper: PageRank 1 GB; WordCount
+/// uniform in [4, 8] GB; Sort in [1, 8] GB.
+std::vector<FileSpec> PlanDataset(WorkloadKind kind, int files_per_kind,
                                   const DatasetConfig& config, Rng& rng);
 
 /// Create a planned catalog's files in `dfs` (consumes only the DFS's own
@@ -85,7 +96,7 @@ Dataset MaterializeDataset(dfs::Dfs& dfs, WorkloadKind kind,
 
 /// Create the input files for `kind` in the DFS: PlanDataset +
 /// MaterializeDataset in one step.
-Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind,
+Dataset BuildDataset(dfs::Dfs& dfs, WorkloadKind kind, int files_per_kind,
                      const DatasetConfig& config, Rng& rng);
 
 /// Compile one job of `kind` over `file` into a JobSpec.

@@ -193,6 +193,18 @@ TEST(JsonApi, RejectsUnknownAndMistypedFields) {
   EXPECT_NO_THROW(ConfigFromJsonText("{}"));
 }
 
+TEST(JsonApi, DecoderLeavesValueRulesToValidateConfig) {
+  // The decoder checks types only, so HTTP and direct callers meet one
+  // rule per field: a zero trace capacity is fine while tracing is off...
+  const ExperimentConfig idle =
+      ConfigFromJsonText("{\"tracing\":{\"capacity\":0}}");
+  EXPECT_EQ(idle.tracing.capacity, 0u);
+  EXPECT_NO_THROW(workload::ValidateConfig(idle));
+  // ...and an out-of-range value decodes, then fails validation.
+  const ExperimentConfig empty = ConfigFromJsonText("{\"num_nodes\":0}");
+  EXPECT_THROW(workload::ValidateConfig(empty), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: HTTP == direct, for every manager
 // ---------------------------------------------------------------------------
@@ -259,7 +271,9 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
   const ExperimentConfig good = SmallConfig(ManagerKind::kCustody);
   using Mutate = std::function<void(ExperimentConfig&)>;
   // A row either mutates the good config (posted through ConfigToJson) or
-  // posts a raw document the typed config cannot express.
+  // posts a raw document the typed config cannot express.  A row with an
+  // empty field is refused by the JSON parser itself: the 400 carries the
+  // byte offset instead.
   struct Row {
     Row(Mutate m, std::string f) : mutate(std::move(m)), field(std::move(f)) {}
     Row(const char* json, std::string f) : raw(json), field(std::move(f)) {}
@@ -312,8 +326,6 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
       {[](auto& c) { c.steady.warmup = -1.0; }, "steady.warmup"},
       {[](auto& c) { c.steady.diurnal_amplitude = -0.2; },
        "steady.diurnal_amplitude"},
-      {[](auto& c) { c.steady.materialize_submissions = true; },
-       "steady.materialize_submissions"},
       {[](auto& c) {
          c.steady.enabled = true;
          c.steady.retire_jobs = true;
@@ -334,6 +346,31 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
       {"{\"allocator\":{\"demand_driven\":false}}",
        "allocator.demand_driven"},
       {"{\"scheduler\":{\"indexed\":false}}", "scheduler.indexed"},
+      // So are the deleted dead and test-only knobs.
+      {"{\"dataset\":{\"files_per_kind\":4}}", "dataset.files_per_kind"},
+      {"{\"dataset\":{\"zipf_skew\":0.8}}", "dataset.zipf_skew"},
+      {"{\"steady\":{\"materialize_submissions\":true}}",
+       "steady.materialize_submissions"},
+      // JSON has no NaN or infinity; the nearest spellings never reach the
+      // config (ValidateConfig's finiteness rule covers direct callers).
+      {"{\"trace\":{\"mean_interarrival\":NaN}}", ""},
+      {"{\"scheduler\":{\"locality_wait\":nan}}", ""},
+      {"{\"disk_mbps\":1e999}", ""},
+      // 2^53 + 1 has no double of its own: refused, not rounded to 2^53.
+      {[](auto& c) { c.seed = (std::uint64_t{1} << 53) + 1; }, "seed"},
+      {"{\"seed\":9007199254740993}", "seed"},
+      // Replicas of one block need distinct nodes.
+      {[](auto& c) {
+         c.num_nodes = 10;
+         c.replication = 99;
+       },
+       "replication"},
+      {[](auto& c) {
+         c.num_nodes = 10;
+         c.dataset.popularity_replication = true;
+         c.dataset.popularity_extra_replicas = 8;
+       },
+       "dataset.popularity_extra_replicas"},
   };
   for (std::size_t i = 0; i < table.size(); ++i) {
     SCOPED_TRACE("case " + std::to_string(i) + " (" + table[i].field + ")");
@@ -347,6 +384,10 @@ TEST_F(ControlPlaneTest, EveryValidationRejectionIsAStructured400) {
         Fetch(port_, "POST", "/experiments", document);
     EXPECT_EQ(response.status, 400) << response.body;
     const JsonValue body = JsonReader::Parse(response.body);
+    if (table[i].field.empty()) {
+      EXPECT_NE(body.find("offset"), nullptr) << response.body;
+      continue;
+    }
     ASSERT_NE(body.find("field"), nullptr) << response.body;
     EXPECT_EQ(body.find("field")->as_string(), table[i].field)
         << response.body;

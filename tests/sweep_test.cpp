@@ -11,6 +11,7 @@
 // Wall-clock diagnostic fields (round_wall moments, *_wall_seconds,
 // net_stats.wall_seconds) measure real time, not simulated behaviour, and
 // are the only fields excluded from the exact comparison.
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -326,6 +327,39 @@ TEST(ValidateConfig, RejectsEveryBadKnobWithTheFieldNamed) {
   ExpectInvalid(with([](auto& c) { c.trace.zipf_skew = -0.5; }), "zipf_skew");
   ExpectInvalid(with([](auto& c) { c.trace.files_per_kind = 0; }),
                 "files_per_kind");
+  // NaN fails every bound (a NaN arrival gap or locality wait never ends
+  // the run) and no double may be infinite (JSON cannot carry it).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  ExpectInvalid(with([](auto& c) { c.trace.mean_interarrival = kNaN; }),
+                "trace.mean_interarrival");
+  ExpectInvalid(with([](auto& c) { c.scheduler.locality_wait = kNaN; }),
+                "scheduler.locality_wait");
+  ExpectInvalid(
+      with([](auto& c) {
+        c.disk_mbps = std::numeric_limits<double>::infinity();
+      }),
+      "disk_mbps");
+  // 64-bit integers stay below 2^53, where JSON numbers are exact.
+  ExpectInvalid(with([](auto& c) { c.seed = (std::uint64_t{1} << 53) + 1; }),
+                "seed");
+  // Replicas of one block need distinct nodes.
+  ExpectInvalid(with([](auto& c) {
+                  c.num_nodes = 10;
+                  c.replication = 99;
+                }),
+                "replication");
+  ExpectInvalid(with([](auto& c) {
+                  c.num_nodes = 10;
+                  c.replication = 3;
+                  c.dataset.popularity_replication = true;
+                  c.dataset.popularity_extra_replicas = 8;
+                }),
+                "dataset.popularity_extra_replicas");
+  EXPECT_NO_THROW(ValidateConfig(with([](auto& c) {
+    c.num_nodes = 10;
+    c.replication = 3;
+    c.dataset.popularity_extra_replicas = 8;  // unused: popularity is off
+  })));
 }
 
 TEST(ValidateConfig, RejectsBadSteadyStateKnobsWithTheFieldNamed) {
@@ -348,8 +382,6 @@ TEST(ValidateConfig, RejectsBadSteadyStateKnobsWithTheFieldNamed) {
                   c.steady.diurnal_period = 0.0;
                 }),
                 "steady.diurnal_period");
-  ExpectInvalid(with([](auto& c) { c.steady.materialize_submissions = true; }),
-                "steady.materialize_submissions");
   // Retiring jobs while exact metrics keep per-job records would not bound
   // memory — the combination is rejected, not silently accepted.
   ExpectInvalid(with([](auto& c) {
