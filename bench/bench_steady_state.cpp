@@ -26,6 +26,11 @@
 // allocation rounds proportional to demand the rate stays within ~10x
 // across the sweep, with rebuild-per-round rounds it collapses ~100x+.
 //
+// The visits/event column counts the executors the applications' kick
+// sweeps examined per simulated event (ExperimentResult::dispatch).  It is
+// deterministic, and the sweep rows should keep it within ~2x from 100 to
+// 10000 nodes: dispatch cost follows launches, not free held executors.
+//
 // `--progress` streams a live events/sim-time/jobs-retired line to stderr
 // (via workload::RunControl) so a million-job run is observable while it
 // runs.  Attaching the observer never changes results — the tier-1 suite
@@ -97,7 +102,8 @@ int main(int argc, char** argv) {
       "jobs",            "wall_s",        "events",
       "events_per_sec",  "net_wall_s",    "net_solve_share",
       "jobs_retired",    "peak_live_tasks",
-      "jct_mean_s",      "jct_p99_s",     "makespan_s"};
+      "jct_mean_s",      "jct_p99_s",     "makespan_s",
+      "dispatch_visits_per_event"};
   auto csv = MaybeCsv(argc, argv, columns);
   auto json = MaybeJson(argc, argv, columns);
   bool progress = false;
@@ -121,7 +127,7 @@ int main(int argc, char** argv) {
 
   AsciiTable table({"scenario", "nodes", "wall (s)", "events/s",
                     "net share", "jobs retired", "peak live tasks",
-                    "JCT mean (s)", "JCT p99 (s)"});
+                    "JCT mean (s)", "JCT p99 (s)", "visits/event"});
   // Runs one configuration and appends its table/CSV/JSON rows; false
   // means the engine leaked live jobs (retired != completed != submitted).
   const auto run_row = [&](const std::string& scenario, long long row_jobs,
@@ -147,11 +153,19 @@ int main(int argc, char** argv) {
         wall > 0.0 ? static_cast<double>(result.events_processed) / wall : 0.0;
     const double net_wall = result.net_stats.wall_seconds;
     const double net_share = wall > 0.0 ? net_wall / wall : 0.0;
+    // Executors the app-side kick sweeps examined per simulated event: a
+    // deterministic work count that should stay flat as nodes grow.
+    const double visits_per_event =
+        result.events_processed > 0
+            ? static_cast<double>(result.dispatch.kick_visits) /
+                  static_cast<double>(result.events_processed)
+            : 0.0;
     table.add_row({scenario, std::to_string(row_nodes), Num(wall),
                    Num(events_per_sec, 0), Num(net_share, 3),
                    std::to_string(result.jobs_retired),
                    std::to_string(result.peak_live_tasks),
-                   Num(result.jct.mean), Num(result.jct.p99)});
+                   Num(result.jct.mean), Num(result.jct.p99),
+                   Num(visits_per_event, 3)});
     const std::vector<std::string> row{
         scenario,
         result.manager_name,
@@ -166,7 +180,8 @@ int main(int argc, char** argv) {
         std::to_string(result.peak_live_tasks),
         Num(result.jct.mean, 3),
         Num(result.jct.p99, 3),
-        Num(result.makespan, 1)};
+        Num(result.makespan, 1),
+        Num(visits_per_event, 4)};
     if (csv) csv->add_row(row);
     if (json) json->add_row(row);
 

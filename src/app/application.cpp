@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "common/log.h"
 #include "common/snapshot.h"
@@ -45,6 +47,9 @@ Application::Application(AppId id, sim::Simulator& sim, net::Network& net,
           index_.replica_removed(block, node);
         }
       });
+  index_.set_node_listener([this](NodeId node) {
+    cluster_.free_held_on(id_, node, pending_free_);
+  });
 }
 
 Application::~Application() {
@@ -242,8 +247,14 @@ core::LocalityStats Application::locality() const { return achieved_; }
 
 void Application::on_executor_granted(ExecutorId exec) {
   assert(cluster_.executor(exec).owner == id_);
-  if (tracer_ != nullptr) exec_idle_since_[exec] = sim_.now();
+  mark_free(exec);
   kick();
+}
+
+void Application::mark_free(ExecutorId exec) {
+  cluster_.set_busy(exec, false);
+  pending_free_.push_back(exec);
+  if (tracer_ != nullptr) exec_idle_since_[exec] = sim_.now();
 }
 
 bool Application::consider_offer(ExecutorId /*exec*/, NodeId node) {
@@ -269,67 +280,102 @@ bool Application::consider_offer(ExecutorId /*exec*/, NodeId node) {
 void Application::kick() {
   if (in_kick_) return;  // avoid re-entrant scheduling storms
   in_kick_ = true;
+  ++dispatch_.kicks;
   const SimTime now = sim_.now();
   std::optional<SimTime> earliest_retry;
 
-  // Demand-driven sweep: a "nothing launchable" pick verdict decomposes
-  // into per-job facts that are node-independent (no ready downstream
-  // work, input jobs still inside their locality wait — with wait_start
-  // already stamped and the same retry expiry) plus one node-dependent
-  // fact, "no job has a ready input local to this node", which the ready
-  // index answers in O(1).  `now` is fixed for the whole sweep and
-  // launches are the only mid-kick mutation, so once a full pick returns
-  // nothing, every later free executor on a node with no local ready
-  // input must get the identical verdict — replay it without re-probing
-  // the job list.  Any launch invalidates the cached verdict.
-  bool have_null_verdict = false;
-  std::optional<SimTime> null_retry;
+  // The sweep offers every free held executor, ascending by id, to the
+  // scheduler — but only visits the ones whose offer can do something.
+  //
+  // A "nothing launchable" pick verdict decomposes into per-job facts that
+  // are node-independent (no ready downstream work, input jobs still inside
+  // their locality wait — with wait_start already stamped and the same
+  // retry expiry) plus one node-dependent fact, "no job has a ready input
+  // local to this node".  `now` is fixed for the sweep and launches are
+  // the only mid-kick mutation, so once a full pick returns nothing, every
+  // later free executor on a node with no local ready input gets the
+  // identical verdict, and replaying it is a no-op: its retry time was
+  // folded in when the verdict was made.  Any launch invalidates it.
+  //
+  // A verdict the previous kick ended with still holds at the same `now`
+  // while no task has become ready since (the index epoch) and the retry
+  // it armed has not fired (retry_fired drops it): the pick stamps every
+  // waiting job, so between kicks only new ready work could make
+  // something launchable, and the pending retry already covers its
+  // expiry.
+  bool have_null_verdict = null_verdict_at_ == std::pair{now, index_.epoch()};
+  // Speculation's "no straggler" answer does not depend on the node and
+  // cannot flip within a kick: a task launched at `now` is not slow and a
+  // clone only removes candidates.  Once seen it holds for the sweep.
+  bool stragglers_possible = config_.speculation;
 
-  // Snapshot of launch candidates, ascending by executor id: the cluster's
-  // free-held set — exactly the held executors that survive the owner/busy
-  // re-check below, without walking the busy bulk — so sweep cost tracks
-  // free executors, not executors held.  Ownership cannot grow mid-kick
-  // (grants arrive via posted manager rounds), and each iteration only
-  // flips its own executor busy, so the snapshot misses no candidate.
-  held_scratch_.clear();
-  cluster_.free_held(id_, held_scratch_);
-  for (const ExecutorId held : held_scratch_) {
-    const cluster::Executor& snapshot = cluster_.executor(held);
-    if (snapshot.owner != id_ || snapshot.busy) continue;
-    if (have_null_verdict && !index_.any_local_ready_input(snapshot.node)) {
-      if (null_retry) {
-        if (!earliest_retry || *null_retry < *earliest_retry) {
-          earliest_retry = null_retry;
+  // While both verdicts hold, the only executors worth a visit are free
+  // ones on a node with local ready input.  Every policy launches on those
+  // (a local ready input is always pickable), so after a kick none is
+  // left, and between kicks such an executor appears only when it becomes
+  // free for us or its node gains local ready input — the two ways into
+  // pending_free_.  Within the kick both sets only shrink.
+  kick_candidates_.swap(pending_free_);  // leaves pending_free_ empty
+  std::sort(kick_candidates_.begin(), kick_candidates_.end());
+  auto candidate = kick_candidates_.begin();
+  ExecutorId from(0);
+  for (;;) {
+    ExecutorId exec;
+    if (have_null_verdict && !stragglers_possible) {
+      candidate = std::lower_bound(candidate, kick_candidates_.end(), from);
+      while (candidate != kick_candidates_.end()) {
+        const cluster::Executor& e = cluster_.executor(*candidate);
+        if (e.owner == id_ && !e.busy &&
+            index_.any_local_ready_input(e.node)) {
+          break;
         }
+        ++candidate;
       }
-      // Straggler clones read running tasks, not ready sets, so cloning
-      // here cannot invalidate the cached verdict.
-      const TaskId slow = pick_speculative(snapshot.node);
-      if (slow.valid()) launch_clone(task(slow), snapshot.id);
-      continue;
+      if (candidate == kick_candidates_.end()) break;
+      exec = *candidate;
+    } else {
+      exec = cluster_.next_free_held(id_, from);
+      if (!exec.valid()) break;
     }
-    std::optional<SimTime> retry_at;
-    const auto pick =
-        scheduler_.pick(snapshot.node, now, active_jobs_, retry_at);
-    if (pick) {
-      Task& t = task(pick->task);
-      t.local = pick->local;
-      launch(t, snapshot.id);
-      // The launch consumed a ready task (and a local launch resets its
-      // job's locality wait): any cached "nothing launchable" is stale.
-      have_null_verdict = false;
-      continue;
-    }
-    have_null_verdict = true;
-    null_retry = retry_at;
-    if (retry_at) {
-      if (!earliest_retry || *retry_at < *earliest_retry) {
-        earliest_retry = retry_at;
+    from = ExecutorId(exec.value() + 1);
+    ++dispatch_.kick_visits;
+    const NodeId node = cluster_.node_of(exec);
+    if (!have_null_verdict || index_.any_local_ready_input(node)) {
+      ++dispatch_.full_picks;
+      std::optional<SimTime> retry_at;
+      const auto pick = scheduler_.pick(node, now, active_jobs_, retry_at);
+      if (pick) {
+        Task& t = task(pick->task);
+        t.local = pick->local;
+        launch(t, exec);
+        // The launch consumed a ready task (and a local launch resets its
+        // job's locality wait): any cached "nothing launchable" is stale.
+        have_null_verdict = false;
+        continue;
+      }
+      have_null_verdict = true;
+      if (retry_at) {
+        if (!earliest_retry || *retry_at < *earliest_retry) {
+          earliest_retry = retry_at;
+        }
       }
     }
     // Nothing launchable: offer the free slot to a straggler clone.
-    const TaskId slow = pick_speculative(snapshot.node);
-    if (slow.valid()) launch_clone(task(slow), snapshot.id);
+    // Straggler clones read running tasks, not ready sets, so cloning
+    // cannot invalidate the cached verdict.
+    if (!stragglers_possible) continue;
+    const TaskId slow = pick_speculative(node);
+    if (slow.valid()) {
+      launch_clone(task(slow), exec);
+    } else {
+      stragglers_possible = false;
+    }
+  }
+  kick_candidates_.clear();
+  if (have_null_verdict) {
+    null_verdict_at_ = std::pair{now, index_.epoch()};
+  } else {
+    null_verdict_at_.reset();
   }
   in_kick_ = false;
   if (earliest_retry) arm_retry(*earliest_retry);
@@ -344,12 +390,18 @@ void Application::arm_retry(SimTime at) {
   retry_event_.cancel();
   retry_time_ = at;
   const SimTime delay = std::max(0.0, at - sim_.now());
-  retry_event_ = sim_.schedule(delay, [this] {
-    retry_time_ = -1.0;
-    kick();
-  });
+  retry_event_ = sim_.schedule(delay, [this] { retry_fired(); });
   retry_armed_time_ = sim_.now() + delay;
   retry_seq_ = sim_.last_event_seq();
+}
+
+void Application::retry_fired() {
+  retry_time_ = -1.0;
+  // A verdict carried over from an earlier kick at this instant relied on
+  // this retry staying pending; without it the next kick must re-pick to
+  // arm the next one.
+  null_verdict_at_.reset();
+  kick();
 }
 
 sim::EventFn Application::timer_fn(TaskId id, std::uint32_t epoch,
@@ -634,8 +686,7 @@ void Application::finish_attempt(Task& t, int attempt) {
       net_.cancel_flow(t.pending_flow);
     }
     t.pending_flow = FlowId::invalid();
-    cluster_.set_busy(t.executor, false);
-    if (tracer_ != nullptr) exec_idle_since_[t.executor] = sim_.now();
+    mark_free(t.executor);
     t.executor = t.spec_executor;
     t.local = t.spec_local;
     t.compute_start = t.spec_compute_start;
@@ -647,8 +698,7 @@ void Application::finish_attempt(Task& t, int attempt) {
       net_.cancel_flow(t.spec_flow);
     }
     t.spec_flow = FlowId::invalid();
-    cluster_.set_busy(t.spec_executor, false);
-    if (tracer_ != nullptr) exec_idle_since_[t.spec_executor] = sim_.now();
+    mark_free(t.spec_executor);
   }
   t.spec_active = false;
   finish_task(t);
@@ -669,10 +719,7 @@ void Application::reset_task(Task& t) {
       net_.cancel_flow(t.spec_flow);
     }
     t.spec_flow = FlowId::invalid();
-    if (cluster_.executor_alive(t.spec_executor)) {
-      cluster_.set_busy(t.spec_executor, false);
-      if (tracer_ != nullptr) exec_idle_since_[t.spec_executor] = sim_.now();
-    }
+    if (cluster_.executor_alive(t.spec_executor)) mark_free(t.spec_executor);
     t.spec_active = false;
   }
   if (tracer_ != nullptr) {
@@ -741,10 +788,9 @@ void Application::finish_task(Task& t) {
   t.state = TaskState::kFinished;
   --running_tasks_;
   t.finish_time = now;
-  cluster_.set_busy(t.executor, false);
+  mark_free(t.executor);
 
   if (tracer_ != nullptr) {
-    exec_idle_since_[t.executor] = now;
     const std::int32_t node = obs::IdOf(cluster_.node_of(t.executor));
     // Read/fetch span (launch → compute start) then compute span
     // (compute start → finish); a clone win folds the primary's wasted
@@ -859,11 +905,22 @@ void Application::finish_job(Job& j) {
   manager_->on_demand_changed(*this);
 }
 
-bool Application::any_local_ready_input(NodeId node) const {
-  return index_.any_local_ready_input(node);
+bool Application::pool_has_useful_executor() {
+  if (pool_useless_at_ == pool_epochs()) {
+    ++dispatch_.pool_scans_reused;
+    return false;
+  }
+  ++dispatch_.pool_scans_run;
+  const bool useful = scan_pool_for_useful_executor();
+  if (useful) {
+    pool_useless_at_.reset();
+  } else {
+    pool_useless_at_ = pool_epochs();
+  }
+  return useful;
 }
 
-bool Application::pool_has_useful_executor() const {
+bool Application::scan_pool_for_useful_executor() const {
   // Demand-driven form of the old two-ledger-scan check: for each ready
   // input task not already covered by a held executor, ask the idle index
   // whether any replica node has an unallocated executor (block -> node ->
@@ -899,32 +956,127 @@ bool Application::pool_has_useful_executor() const {
 
 void Application::maybe_release_idle_executors() {
   if (!config_.dynamic_executors) return;
+  // Only free executors can be released.
+  if (!cluster_.next_free_held(id_, ExecutorId(0)).valid()) return;
 
-  std::vector<ExecutorId> to_release;
-  held_scratch_.clear();
-  // Only free executors can be released, so sweep the free-held set
-  // (ascending == ledger order).
-  cluster_.free_held(id_, held_scratch_);
+  release_scratch_.clear();
   if (count_ready_tasks() == 0) {
     // Nothing to run right now: hand idle executors back so the manager can
     // re-allocate them data-aware (the paper's proactive release message).
-    for (const ExecutorId held : held_scratch_) {
-      if (!cluster_.executor(held).busy) to_release.push_back(held);
-    }
+    cluster_.free_held(id_, release_scratch_);
   } else if (config_.locality_swap && pool_has_useful_executor()) {
     // An executor with the right data sits unallocated while we hold
     // executors that serve none of our ready input tasks locally: hand the
     // useless ones back so the next allocation round performs the swap
     // (paper Sec. IV-C: "dynamically add or remove executors to adapt to
     // the up-to-date locality requirements").
-    for (const ExecutorId held : held_scratch_) {
-      const cluster::Executor& exec = cluster_.executor(held);
-      if (!exec.busy && !any_local_ready_input(exec.node)) {
-        to_release.push_back(held);
+    cluster_.free_held(id_, release_scratch_);
+    std::erase_if(release_scratch_, [this](ExecutorId exec) {
+      return index_.any_local_ready_input(cluster_.node_of(exec));
+    });
+  }
+  for (ExecutorId exec : release_scratch_) manager_->release_executor(exec);
+}
+
+struct Application::AuditView {
+  std::uint64_t pool_epoch = 0;
+  std::uint64_t index_epoch = 0;
+  /// Ready blocks and their sorted locations.
+  std::map<BlockId, std::vector<NodeId>> ready_locations;
+  /// Idle executor ids, ascending.
+  std::vector<ExecutorId> idle;
+  /// This app's per-node held counts.
+  std::vector<int> held;
+};
+
+std::string Application::audit_dispatch_state() {
+  const std::string who = "app " + std::to_string(id_.value()) + ": ";
+  std::vector<ExecutorId> pending = pending_free_;
+  std::sort(pending.begin(), pending.end());
+  std::vector<ExecutorId> free;
+  cluster_.free_held(id_, free);
+  for (const ExecutorId exec : free) {
+    const NodeId node = cluster_.node_of(exec);
+    if (index_.any_local_ready_input(node) &&
+        !std::binary_search(pending.begin(), pending.end(), exec)) {
+      return who + "free executor " + std::to_string(exec.value()) +
+             " on node " + std::to_string(node.value()) +
+             " has local ready input but is not a kick candidate";
+    }
+  }
+  if (pool_useless_at_ == pool_epochs() && scan_pool_for_useful_executor()) {
+    return who + "cached 'nothing useful in the pool' verdict is stale";
+  }
+  const SimTime now = sim_.now();
+  if (null_verdict_at_ == std::pair{now, index_.epoch()}) {
+    // The next kick at this instant replays the verdict instead of
+    // picking: a pick for a node without local ready input must find
+    // nothing, stamp no job, and need no retry that is not pending.
+    for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
+      const NodeId node(static_cast<NodeId::value_type>(n));
+      if (index_.any_local_ready_input(node)) continue;
+      std::vector<SimTime> stamps;
+      for (const Job* j : active_jobs_) stamps.push_back(j->wait_start);
+      std::optional<SimTime> retry_at;
+      const bool launchable =
+          scheduler_.pick(node, now, active_jobs_, retry_at).has_value();
+      bool stamped = false;
+      for (std::size_t i = 0; i < active_jobs_.size(); ++i) {
+        stamped |= active_jobs_[i]->wait_start != stamps[i];
+        active_jobs_[i]->wait_start = stamps[i];
+      }
+      const bool retry_pending = retry_time_ >= 0.0 && retry_event_.valid() &&
+                                 !retry_event_.cancelled();
+      if (launchable || stamped ||
+          (retry_at && !(retry_pending && retry_time_ <= *retry_at))) {
+        return who + "the carried 'nothing launchable' verdict is stale";
+      }
+      break;
+    }
+  }
+
+  auto view = std::make_unique<AuditView>();
+  std::tie(view->pool_epoch, view->index_epoch) = pool_epochs();
+  for (const auto& [block, tasks] : index_.ready_blocks()) {
+    std::vector<NodeId> locs = locations_of(block);
+    std::sort(locs.begin(), locs.end());
+    view->ready_locations.emplace(block, std::move(locs));
+  }
+  for (const core::ExecutorInfo& e : cluster_.idle_executors()) {
+    view->idle.push_back(e.id);
+  }
+  const std::vector<int>* held = cluster_.held_counts(id_);
+  view->held =
+      held != nullptr ? *held : std::vector<int>(cluster_.num_nodes(), 0);
+  std::unique_ptr<AuditView> last = std::exchange(audit_view_, std::move(view));
+  if (last == nullptr) return {};
+  const AuditView& seen = *audit_view_;
+  if (seen.index_epoch == last->index_epoch) {
+    for (const auto& [block, locs] : seen.ready_locations) {
+      const auto before = last->ready_locations.find(block);
+      if (before == last->ready_locations.end()) {
+        return who + "block " + std::to_string(block.value()) +
+               " joined the ready set without an index epoch bump";
+      }
+      if (before->second != locs) {
+        return who + "ready block " + std::to_string(block.value()) +
+               " moved without an index epoch bump";
       }
     }
   }
-  for (ExecutorId exec : to_release) manager_->release_executor(exec);
+  if (seen.pool_epoch == last->pool_epoch) {
+    if (!std::includes(last->idle.begin(), last->idle.end(), seen.idle.begin(),
+                       seen.idle.end())) {
+      return who + "the idle pool grew without a pool epoch bump";
+    }
+    for (std::size_t n = 0; n < seen.held.size(); ++n) {
+      if (seen.held[n] < last->held[n]) {
+        return who + "holdings on node " + std::to_string(n) +
+               " shrank without a pool epoch bump";
+      }
+    }
+  }
+  return {};
 }
 
 net::Network::CompletionFn Application::rebuild_flow_callback(
@@ -1091,10 +1243,8 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
     retry_time_ = r.f64();
     retry_armed_time_ = r.f64();
     retry_seq_ = r.u64();
-    retry_event_ = sim_.rearm_at(retry_armed_time_, retry_seq_, [this] {
-      retry_time_ = -1.0;
-      kick();
-    });
+    retry_event_ = sim_.rearm_at(retry_armed_time_, retry_seq_,
+                                 [this] { retry_fired(); });
   } else {
     retry_time_ = -1.0;
   }
@@ -1207,11 +1357,15 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
   // containers are ordered sets (or order-insensitive aggregates), so
   // insertion order does not matter; locality derives from the DFS and
   // cache, which must have been restored before the applications.
-  index_ = ReadyTaskIndex(dfs_);
-  if (cache_ != nullptr) index_.set_cache(cache_);
+  index_.clear();
   for (const auto& [tid, t] : tasks_) {
     if (t.state == TaskState::kReady) index_.task_ready(t);
   }
+  // Every free held executor is a kick candidate again.  A cached pool
+  // verdict cannot carry over: the cluster restore and index_.clear() both
+  // bumped their epochs.
+  pending_free_.clear();
+  cluster_.free_held(id_, pending_free_);
   exec_idle_since_.clear();
   in_kick_ = false;
 }

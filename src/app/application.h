@@ -7,8 +7,12 @@
 // cluster::AppHandle, which is the entire surface a manager sees.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "app/job.h"
@@ -66,6 +70,29 @@ struct AppConfig {
   /// by default — tests and figure scripts read finished jobs back via
   /// find_job.
   bool retire_finished_jobs = false;
+};
+
+/// Deterministic app-side dispatch work counters.  Run-lifetime totals,
+/// not part of the snapshot: a restored run counts from zero.
+struct DispatchCounters {
+  std::uint64_t kicks = 0;
+  /// Executors a kick sweep examined (full picks plus verdict replays).
+  std::uint64_t kick_visits = 0;
+  /// TaskScheduler::pick calls.
+  std::uint64_t full_picks = 0;
+  /// "Is an idle executor useful to us" pool scans run, and the ones that
+  /// reused the cached "nothing useful" verdict instead.
+  std::uint64_t pool_scans_run = 0;
+  std::uint64_t pool_scans_reused = 0;
+
+  DispatchCounters& operator+=(const DispatchCounters& o) {
+    kicks += o.kicks;
+    kick_visits += o.kick_visits;
+    full_picks += o.full_picks;
+    pool_scans_run += o.pool_scans_run;
+    pool_scans_reused += o.pool_scans_reused;
+    return *this;
+  }
 };
 
 class Application final : public cluster::AppHandle {
@@ -141,6 +168,21 @@ class Application final : public cluster::AppHandle {
   [[nodiscard]] std::uint64_t peak_live_tasks() const {
     return peak_live_tasks_;
   }
+  [[nodiscard]] const DispatchCounters& dispatch_counters() const {
+    return dispatch_;
+  }
+  /// Test-only audit of the incremental dispatch state against ground
+  /// truth, to call between events: every free held executor on a node
+  /// with local ready input is a pending kick candidate; a reusable cached
+  /// pool verdict equals a fresh scan; a carried pick verdict equals a
+  /// fresh pick (whose job stamps are put back); and, against what the
+  /// previous call saw, while the index epoch is unchanged no block
+  /// joined the ready set and no ready block's locations changed, and
+  /// while the pool epoch is unchanged the idle pool only shrank and this
+  /// app's per-node holdings only grew.  Empty when consistent, else a
+  /// description of the first violation.  Changes nothing the simulation
+  /// reads.
+  [[nodiscard]] std::string audit_dispatch_state();
   /// Jobs currently materialized (submitted minus retired).
   [[nodiscard]] std::size_t live_jobs() const { return jobs_by_id_.size(); }
   [[nodiscard]] bool idle() const { return active_jobs_.empty(); }
@@ -173,6 +215,10 @@ class Application final : public cluster::AppHandle {
 
   /// Try to put every idle held executor to work.
   void kick();
+  /// Every way one of our executors becomes free goes through here (a
+  /// grant, a finished or abandoned attempt): clear its busy flag, make it
+  /// a kick candidate, stamp its idle time for tracing.
+  void mark_free(ExecutorId exec);
   void launch(Task& t, ExecutorId exec);
   void start_compute(Task& t);
   void finish_task(Task& t);
@@ -188,6 +234,8 @@ class Application final : public cluster::AppHandle {
   void finish_job(Job& j);
   void maybe_release_idle_executors();
   void arm_retry(SimTime at);
+  /// The pending retry event's body.
+  void retry_fired();
   /// The epoch-guarded callback a (kind, spec) timer descriptor stands for
   /// — shared by live scheduling and snapshot re-arm so both paths run
   /// byte-identical logic.
@@ -199,12 +247,19 @@ class Application final : public cluster::AppHandle {
   void arm_spec_timer(Task& t, TimerKind kind, double delay);
   [[nodiscard]] int count_ready_tasks() const;
   /// True when an *unallocated* executor sits on a replica node of a ready
-  /// input task that no held executor can serve locally.
-  [[nodiscard]] bool pool_has_useful_executor() const;
+  /// input task that no held executor can serve locally.  Reuses the last
+  /// `false` while the cluster's pool epoch and the index epoch are both
+  /// unchanged: nothing that could turn it true has happened since.
+  [[nodiscard]] bool pool_has_useful_executor();
+  /// The uncached scan behind pool_has_useful_executor.
+  [[nodiscard]] bool scan_pool_for_useful_executor() const;
+  /// (pool epoch, index epoch) the cached "nothing useful" verdict holds
+  /// for.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> pool_epochs() const {
+    return {cluster_.pool_epoch(), index_.epoch()};
+  }
   /// Disk replicas, plus cached copies when a cache is attached.
   [[nodiscard]] const std::vector<NodeId>& locations_of(BlockId block) const;
-  /// True when some active job has a ready input task local to `node`.
-  [[nodiscard]] bool any_local_ready_input(NodeId node) const;
 
   AppId id_;
   sim::Simulator& sim_;
@@ -223,9 +278,25 @@ class Application final : public cluster::AppHandle {
   /// delay.  Maintained solely when a tracer is attached (read-only
   /// bookkeeping; never feeds scheduling decisions).
   std::unordered_map<ExecutorId, SimTime> exec_idle_since_;
-  /// Reused buffer for the cluster's incremental held-executor queries
-  /// (kick / release sweeps run per event; no per-call allocation).
-  mutable std::vector<ExecutorId> held_scratch_;
+  /// Kick candidates: executors noted as they became free for this app
+  /// (grants, finished or aborted attempts) plus the free held executors
+  /// on each node as it gains its first local ready input.  Unordered,
+  /// may hold duplicates and stale ids; always a superset of the free held
+  /// executors on nodes with local ready input.  A kick consumes it.
+  std::vector<ExecutorId> pending_free_;
+  /// Reused buffers: the candidates a kick is consuming, and the executors
+  /// a release pass hands back.
+  std::vector<ExecutorId> kick_candidates_;
+  std::vector<ExecutorId> release_scratch_;
+  /// (now, index epoch) when the last kick ended holding a "nothing
+  /// launchable" pick verdict.
+  std::optional<std::pair<SimTime, std::uint64_t>> null_verdict_at_;
+  /// pool_epochs() when pool_has_useful_executor last answered false.
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> pool_useless_at_;
+  DispatchCounters dispatch_;
+  /// What audit_dispatch_state saw last (null until its first call).
+  struct AuditView;
+  std::unique_ptr<AuditView> audit_view_;
   /// Dispatch index over the ready tasks, kept fresh via task state
   /// transitions here plus Dfs replica / BlockCache change listeners.
   /// Declared before scheduler_, which holds a reference to it.

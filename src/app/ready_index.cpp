@@ -22,8 +22,9 @@ void ReadyTaskIndex::for_each_location(
 }
 
 void ReadyTaskIndex::add_local(JobEntry& entry, NodeId node, TaskId task) {
-  if (entry.local_ready[node].insert(task).second) {
-    ++local_ready_nodes_[node];
+  if (entry.local_ready[node].insert(task).second &&
+      ++local_ready_nodes_[node] == 1 && node_listener_) {
+    node_listener_(node);
   }
 }
 
@@ -37,9 +38,18 @@ void ReadyTaskIndex::remove_local(JobEntry& entry, NodeId node, TaskId task) {
   if (--nit->second == 0) local_ready_nodes_.erase(nit);
 }
 
+void ReadyTaskIndex::clear() {
+  jobs_.clear();
+  ready_by_block_.clear();
+  local_ready_nodes_.clear();
+  ready_count_ = 0;
+  ++epoch_;
+}
+
 void ReadyTaskIndex::task_ready(const Task& t) {
   JobEntry& entry = jobs_[t.job];
   ++ready_count_;
+  ++epoch_;
   if (!t.is_input()) {
     entry.ready_others.insert(t.id);
     return;
@@ -85,6 +95,7 @@ void ReadyTaskIndex::job_removed(JobId job) {
 void ReadyTaskIndex::replica_added(BlockId block, NodeId node) {
   auto bit = ready_by_block_.find(block);
   if (bit == ready_by_block_.end()) return;
+  ++epoch_;
   for (const auto& [task, job] : bit->second) {
     add_local(jobs_.at(job), node, task);
   }
@@ -93,10 +104,12 @@ void ReadyTaskIndex::replica_added(BlockId block, NodeId node) {
 void ReadyTaskIndex::replica_removed(BlockId block, NodeId node) {
   // A node can hold both a disk replica and a cached copy (a replica can be
   // re-replicated onto a node that already cached the block); dropping one
-  // keeps the block local while the other remains.
-  if (is_local(block, node)) return;
+  // keeps the block local while the other remains (the block's merged
+  // location list may still have been rebuilt, hence the epoch bump first).
   auto bit = ready_by_block_.find(block);
   if (bit == ready_by_block_.end()) return;
+  ++epoch_;
+  if (is_local(block, node)) return;
   for (const auto& [task, job] : bit->second) {
     remove_local(jobs_.at(job), node, task);
   }

@@ -22,6 +22,7 @@
 // ready and the node is a merged (disk ∪ cache) location of its block.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -41,6 +42,16 @@ class ReadyTaskIndex {
 
   /// Cached copies then count as local, mirroring TaskScheduler::set_cache.
   void set_cache(const dfs::BlockCache* cache) { cache_ = cache; }
+
+  /// Called with `node` whenever it gains its first local ready input
+  /// task across all jobs (the 0 -> 1 step of any_local_ready_input),
+  /// whatever the trigger: task_ready, a new replica or a cached copy.
+  using NodeListener = std::function<void(NodeId)>;
+  void set_node_listener(NodeListener fn) { node_listener_ = std::move(fn); }
+
+  /// Forget every task, keeping the DFS, cache and listener wiring: the
+  /// state a restore rebuilds from the restored task states.
+  void clear();
 
   // --- update triggers ----------------------------------------------------
   /// `t` entered kReady (stage became runnable, or a failed task was reset).
@@ -79,6 +90,11 @@ class ReadyTaskIndex {
   ready_blocks() const {
     return ready_by_block_;
   }
+  /// Bumped whenever a task joins the ready set (task_ready) or a ready
+  /// block's locations change (replica_added / replica_removed) — the only
+  /// ways ready work or the ready blocks' location sets can grow or move.
+  /// task_unready and job_removed only shrink them and leave it alone.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
  private:
   struct JobEntry {
@@ -105,7 +121,9 @@ class ReadyTaskIndex {
   /// node -> live (job, task) local_ready memberships; keys are erased at
   /// zero so any_local_ready_input is a single lookup.
   std::unordered_map<NodeId, int> local_ready_nodes_;
+  NodeListener node_listener_;
   int ready_count_ = 0;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace custody::app

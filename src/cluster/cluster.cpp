@@ -83,6 +83,7 @@ void Cluster::release(ExecutorId id) {
   }
   drop_ownership(exec);
   exec.owner = AppId::invalid();
+  ++pool_epoch_;
   // A released executor on a live node rejoins the idle set (release on a
   // dead node cannot happen: fail_node already cleared ownership there).
   idle_index_.add(id, exec.node);
@@ -123,6 +124,7 @@ void Cluster::fail_node(NodeId node) {
   }
   if (!node_alive_[node.value()]) return;
   node_alive_[node.value()] = false;
+  ++pool_epoch_;
   for (Executor& exec : executors_) {
     if (exec.node != node) continue;
     if (exec.allocated()) {
@@ -229,6 +231,27 @@ void Cluster::free_held(AppId app, std::vector<ExecutorId>& out) const {
   }
 }
 
+ExecutorId Cluster::next_free_held(AppId app, ExecutorId from) const {
+  const auto it = free_held_.find(app.value());
+  if (it == free_held_.end()) return ExecutorId::invalid();
+  const auto& free = it->second;
+  const auto pos = std::lower_bound(free.begin(), free.end(), from.value());
+  return pos == free.end() ? ExecutorId::invalid() : ExecutorId(*pos);
+}
+
+void Cluster::free_held_on(AppId app, NodeId node,
+                           std::vector<ExecutorId>& out) const {
+  // The constructor numbers executors node by node, so a node's executors
+  // are one contiguous id range.
+  const auto per_node =
+      static_cast<std::size_t>(config_.executors_per_node);
+  const std::size_t first = node.value() * per_node;
+  for (std::size_t e = first; e < first + per_node; ++e) {
+    const Executor& exec = executors_[e];
+    if (exec.owner == app && !exec.busy) out.push_back(exec.id);
+  }
+}
+
 bool Cluster::holds_on(AppId app, NodeId node) const {
   const auto it = owned_on_node_.find(app.value());
   return it != owned_on_node_.end() &&
@@ -306,6 +329,7 @@ void Cluster::RestoreFrom(snap::SnapshotReader& r) {
     if (busy[e]) set_busy(executors_[e].id, true);
   }
 
+  ++pool_epoch_;
   const std::uint64_t idle = r.u64();
   if (idle != idle_index_.count()) {
     throw snap::SnapshotError(

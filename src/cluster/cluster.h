@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
@@ -116,10 +117,21 @@ class Cluster {
   /// Flip an executor's busy flag, keeping the owner's free-held set in
   /// sync.  No-op when the flag already has that value.
   void set_busy(ExecutorId id, bool busy);
-  /// Executor ids `app` holds that are not busy, ascending (== the held
-  /// sweep's survivors of the owner/busy re-check), maintained
+  /// Executor ids `app` holds that are not busy, ascending, maintained
   /// incrementally on assign/release/set_busy/fail_node.  Appends to `out`.
   void free_held(AppId app, std::vector<ExecutorId>& out) const;
+  /// Lowest free-held executor of `app` with id >= `from`; invalid when
+  /// none.  A cursor over the same ascending set free_held copies.
+  [[nodiscard]] ExecutorId next_free_held(AppId app, ExecutorId from) const;
+  /// Free executors `app` holds on `node`, ascending.  Appends to `out`.
+  void free_held_on(AppId app, NodeId node, std::vector<ExecutorId>& out) const;
+
+  /// Bumped whenever the unallocated pool may have grown or an app's
+  /// holdings shrank: release, fail_node and RestoreFrom.  assign and
+  /// set_busy leave it alone (they only shrink the pool or grow holdings),
+  /// so a cached "nothing useful in the pool" verdict stays exact while
+  /// the epoch is unchanged.
+  [[nodiscard]] std::uint64_t pool_epoch() const { return pool_epoch_; }
 
   /// Serialize the ownership ledger: node liveness/speeds plus each
   /// executor's {owner, busy}.  Everything else (idle index, held sets,
@@ -153,6 +165,7 @@ class Cluster {
   /// emptied.
   std::unordered_map<AppId::value_type, std::vector<ExecutorId::value_type>>
       free_held_;
+  std::uint64_t pool_epoch_ = 0;
 };
 
 }  // namespace custody::cluster

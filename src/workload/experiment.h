@@ -156,6 +156,10 @@ struct ExperimentResult {
   /// certifies bounded memory over million-job horizons.
   std::uint64_t jobs_retired = 0;
   std::uint64_t peak_live_tasks = 0;
+  /// App-side dispatch work summed over applications.  A work counter, not
+  /// a simulated output: it is neither snapshotted (a restored run counts
+  /// from the restore) nor part of the exact-equality field list.
+  app::DispatchCounters dispatch;
   /// The run's recorded trace (null unless config.tracing.enabled).  Feed
   /// it to obs::WriteChromeTrace or obs::CriticalPathAnalyzer.
   std::shared_ptr<const obs::TraceBuffer> trace;

@@ -259,6 +259,11 @@ class LiveRun {
   [[nodiscard]] ExperimentResult collect();
 
   [[nodiscard]] sim::Simulator& simulator() { return ctx_.simulator(); }
+  /// The run's applications, in app-id order (introspection and audits).
+  [[nodiscard]] const std::vector<std::unique_ptr<app::Application>>& apps()
+      const {
+    return apps_;
+  }
   [[nodiscard]] std::uint64_t config_hash() const { return config_hash_; }
 
  private:

@@ -7,6 +7,7 @@
 
 #include "cluster/cluster.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 
 namespace custody::cluster {
 namespace {
@@ -93,9 +94,31 @@ TEST(Cluster, DiskRateFromConfig) {
 
 // ---------- incremental ownership / idle bookkeeping ------------------------
 
+TEST(Cluster, PoolEpochMovesExactlyWhenThePoolCanGrowOrHoldingsShrink) {
+  Cluster cluster(3, WorkerConfig{.executors_per_node = 2});
+  const auto bumps = [&cluster](const auto& change) {
+    const std::uint64_t before = cluster.pool_epoch();
+    change();
+    return cluster.pool_epoch() != before;
+  };
+  const AppId app(0);
+  EXPECT_FALSE(bumps([&] { cluster.assign(ExecutorId(0), app); }));
+  EXPECT_FALSE(bumps([&] { cluster.assign(ExecutorId(2), app); }));
+  EXPECT_FALSE(bumps([&] { cluster.set_busy(ExecutorId(0), true); }));
+  EXPECT_FALSE(bumps([&] { cluster.set_busy(ExecutorId(0), false); }));
+  EXPECT_TRUE(bumps([&] { cluster.release(ExecutorId(0)); }));
+  EXPECT_TRUE(bumps([&] { cluster.fail_node(NodeId(1)); }));
+  snap::SnapshotWriter w;
+  cluster.SaveTo(w);
+  snap::SnapshotReader r(w.finish(0, 0.0));
+  EXPECT_TRUE(bumps([&] { cluster.RestoreFrom(r); }));
+}
+
 // Property: the incrementally-maintained structures (idle index, per-app
-// held-executor lists, per-app per-node counts) must agree with brute-force
-// ledger scans after arbitrary assign/release/fail interleavings.
+// held-executor lists, per-app per-node counts, the free-held cursor) must
+// agree with brute-force ledger scans after arbitrary assign/release/busy
+// flip/fail/restore interleavings, and the pool epoch must move whenever
+// the idle pool grew or some app's holdings shrank.
 TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
   Rng rng(1337);
   for (int trial = 0; trial < 10; ++trial) {
@@ -164,6 +187,25 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
         std::vector<ExecutorId> free;
         cluster.free_held(app, free);
         ASSERT_EQ(free, free_scan);
+        // The cursor walks the same set in the same ascending order, and
+        // the per-node query is its restriction to one node.
+        std::vector<ExecutorId> walked;
+        for (ExecutorId e = cluster.next_free_held(app, ExecutorId(0));
+             e.valid();
+             e = cluster.next_free_held(app, ExecutorId(e.value() + 1))) {
+          walked.push_back(e);
+        }
+        ASSERT_EQ(walked, free_scan);
+        for (int n = 0; n < num_nodes; ++n) {
+          const NodeId node(static_cast<NodeId::value_type>(n));
+          std::vector<ExecutorId> on_node;
+          cluster.free_held_on(app, node, on_node);
+          std::vector<ExecutorId> expect;
+          for (const ExecutorId e : free_scan) {
+            if (cluster.node_of(e) == node) expect.push_back(e);
+          }
+          ASSERT_EQ(on_node, expect);
+        }
         // Dense per-node held counts == per-node owner scans (null only
         // before the app's first grant, when every count is zero anyway).
         const std::vector<int>* counts = cluster.held_counts(app);
@@ -178,8 +220,45 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
       }
     };
 
+    // What the pool epoch promises: an unchanged epoch means the idle set
+    // only shrank and no app's per-node holdings shrank.
+    struct PoolView {
+      std::uint64_t epoch;
+      std::set<ExecutorId::value_type> idle;
+      std::vector<std::vector<int>> held;  // [app][node]
+    };
+    const auto view = [&] {
+      PoolView v{cluster.pool_epoch(), {}, {}};
+      for (const auto& info : cluster.idle_executors()) {
+        v.idle.insert(info.id.value());
+      }
+      for (int a = 0; a < num_apps; ++a) {
+        const std::vector<int>* counts =
+            cluster.held_counts(AppId(static_cast<AppId::value_type>(a)));
+        v.held.push_back(
+            counts != nullptr
+                ? *counts
+                : std::vector<int>(static_cast<std::size_t>(num_nodes), 0));
+      }
+      return v;
+    };
+    const auto check_epoch = [&](const PoolView& before,
+                                 const PoolView& after) {
+      if (after.epoch != before.epoch) return;
+      ASSERT_TRUE(std::includes(before.idle.begin(), before.idle.end(),
+                                after.idle.begin(), after.idle.end()))
+          << "idle pool grew without a pool epoch bump";
+      for (int a = 0; a < num_apps; ++a) {
+        for (int n = 0; n < num_nodes; ++n) {
+          ASSERT_GE(after.held[a][n], before.held[a][n])
+              << "holdings shrank without a pool epoch bump";
+        }
+      }
+    };
+
     check();
     for (int step = 0; step < 60; ++step) {
+      const PoolView before = view();
       const double dice = rng.uniform(0.0, 1.0);
       if (dice < 0.45) {  // try to assign a random idle executor
         const ExecutorId e(static_cast<ExecutorId::value_type>(
@@ -202,8 +281,14 @@ TEST(Cluster, IncrementalBookkeepingMatchesLedgerScans) {
       } else if (dice < 0.95) {  // rare: kill a node
         cluster.fail_node(NodeId(static_cast<NodeId::value_type>(
             rng.index(num_nodes))));
+      } else {  // snapshot round trip: derived state rebuilt by replay
+        snap::SnapshotWriter w;
+        cluster.SaveTo(w);
+        snap::SnapshotReader r(w.finish(0, 0.0));
+        cluster.RestoreFrom(r);
       }
       check();
+      check_epoch(before, view());
     }
   }
 }

@@ -4,13 +4,16 @@
 // ReadyTaskIndex-backed path — and must behave identically in both.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "app/ready_index.h"
 #include "app/scheduler.h"
 #include "common/units.h"
+#include "dfs/cache.h"
 
 namespace custody::app {
 namespace {
@@ -334,6 +337,145 @@ TEST_P(SchedulerPath, ZeroWaitDelayActsLikeLocalityPreferred) {
   TaskScheduler sched = make(Delay(0.0));
   std::optional<SimTime> retry;
   EXPECT_TRUE(sched.pick(NodeId(1), 0.0, f.jobs(), retry));
+}
+
+// --- ReadyTaskIndex hooks behind the application's kick sweep --------------
+
+/// A DFS (replication 1, 1 MB blocks) and block cache wired into one index
+/// the way Application wires them: replica and cached-copy churn reach the
+/// index through the DFS and cache listeners.
+class IndexHooks : public testing::Test {
+ protected:
+  IndexHooks() : dfs_(Config(), Rng(5)), cache_(dfs_, MB(2.0)), index_(dfs_) {
+    index_.set_cache(&cache_);
+    index_.set_node_listener([this](NodeId n) { gained_.push_back(n); });
+    dfs_listener_ = dfs_.add_replica_listener(
+        [this](BlockId b, NodeId n, bool added) {
+          added ? index_.replica_added(b, n) : index_.replica_removed(b, n);
+        });
+    cache_listener_ = cache_.add_change_listener(
+        [this](BlockId b, NodeId n, bool cached) {
+          cached ? index_.replica_added(b, n) : index_.replica_removed(b, n);
+        });
+  }
+  ~IndexHooks() override {
+    dfs_.remove_replica_listener(dfs_listener_);
+    cache_.remove_change_listener(cache_listener_);
+  }
+
+  static dfs::DfsConfig Config() {
+    dfs::DfsConfig c;
+    c.num_nodes = 6;
+    c.block_bytes = MB(1.0);
+    c.default_replication = 1;
+    return c;
+  }
+
+  /// A one-block file and a ready input task over its block.
+  Task ReadyTask(int n) {
+    const FileId f = dfs_.write_file("/f" + std::to_string(n), MB(1.0));
+    Task t;
+    t.id = TaskId(static_cast<TaskId::value_type>(n));
+    t.job = JobId(1);
+    t.stage = 0;
+    t.block = dfs_.blocks_of(f).front();
+    t.state = TaskState::kReady;
+    return t;
+  }
+  NodeId HomeOf(const Task& t) const { return dfs_.locations(t.block)[0]; }
+  static std::vector<NodeId> LiveExcept(NodeId dead) {
+    std::vector<NodeId> live;
+    for (std::size_t n = 0; n < Config().num_nodes; ++n) {
+      const NodeId node(static_cast<NodeId::value_type>(n));
+      if (node != dead) live.push_back(node);
+    }
+    return live;
+  }
+
+  dfs::Dfs dfs_;
+  dfs::BlockCache cache_;
+  ReadyTaskIndex index_;
+  std::vector<NodeId> gained_;
+  dfs::Dfs::ListenerId dfs_listener_ = 0;
+  dfs::BlockCache::ListenerId cache_listener_ = 0;
+};
+
+TEST_F(IndexHooks, NodeListenerFiresOnlyWhenANodeGainsItsFirstLocalInput) {
+  const Task a = ReadyTask(0);
+  const Task b = ReadyTask(1);
+  const NodeId home_a = HomeOf(a);
+  const NodeId home_b = HomeOf(b);
+  ASSERT_NE(home_a, home_b);  // placement under Rng(5)
+  index_.task_ready(a);
+  EXPECT_EQ(gained_, std::vector<NodeId>{home_a});
+
+  // A copy of a block with no ready task changes nothing.
+  cache_.insert(home_a, b.block);
+  EXPECT_EQ(gained_.size(), 1u);
+  // b turns ready on its disk home (new: fires) and its cached copy next
+  // to a (already local: silent).
+  gained_.clear();
+  index_.task_ready(b);
+  EXPECT_EQ(gained_, std::vector<NodeId>{home_b});
+
+  // A cached copy on a node without local input fires once; a second
+  // ready block cached there does not.
+  NodeId fresh(static_cast<NodeId::value_type>(Config().num_nodes - 1));
+  while (fresh == home_a || fresh == home_b) {
+    fresh = NodeId(fresh.value() - 1);
+  }
+  gained_.clear();
+  cache_.insert(fresh, a.block);
+  EXPECT_EQ(gained_, std::vector<NodeId>{fresh});
+  cache_.insert(fresh, b.block);
+  EXPECT_EQ(gained_.size(), 1u);
+
+  // Losing every local input and regaining it is a new 0 -> 1 step.
+  index_.task_unready(a);
+  index_.task_unready(b);
+  EXPECT_FALSE(index_.any_local_ready_input(fresh));
+  gained_.clear();
+  index_.task_ready(a);
+  EXPECT_EQ(gained_, (std::vector<NodeId>{home_a, fresh}));
+
+  // Re-replication after a's home fails gives a new node local input.
+  gained_.clear();
+  dfs_.fail_node(home_a, LiveExcept(home_a));
+  ASSERT_NE(HomeOf(a), home_a);
+  ASSERT_NE(HomeOf(a), fresh);  // placement under Rng(5)
+  EXPECT_EQ(gained_, std::vector<NodeId>{HomeOf(a)});
+}
+
+TEST_F(IndexHooks, EpochBumpsWheneverReadyBlocksCanGrowOrMove) {
+  Task a = ReadyTask(0);
+  const Task other = ReadyTask(1);  // never ready
+  const auto bumps = [this](const auto& change) {
+    const std::uint64_t before = index_.epoch();
+    change();
+    return index_.epoch() != before;
+  };
+  EXPECT_TRUE(bumps([&] { index_.task_ready(a); }));
+  NodeId away(0);
+  while (away == HomeOf(a)) away = NodeId(away.value() + 1);
+  EXPECT_TRUE(bumps([&] { cache_.insert(away, a.block); }));
+  // Evicting a's copy (the budget holds two blocks) removes a location.
+  const Task filler1 = ReadyTask(2);
+  const Task filler2 = ReadyTask(3);
+  cache_.insert(away, filler1.block);
+  EXPECT_TRUE(bumps([&] { cache_.insert(away, filler2.block); }));
+  EXPECT_FALSE(cache_.peek_cached(away, a.block));
+  // A clear() (restore) starts over from a new epoch.
+  EXPECT_TRUE(bumps([&] { index_.clear(); }));
+  index_.task_ready(a);
+  // Disk re-replication: a's home fails, a new replica appears elsewhere.
+  const NodeId home = HomeOf(a);
+  EXPECT_TRUE(bumps([&] { dfs_.fail_node(home, LiveExcept(home)); }));
+
+  // Changes that only shrink the ready set, or touch blocks that are not
+  // ready, leave the epoch alone.
+  EXPECT_FALSE(bumps([&] { cache_.insert(away, other.block); }));
+  EXPECT_FALSE(bumps([&] { index_.task_unready(a); }));
+  EXPECT_FALSE(bumps([&] { index_.job_removed(a.job); }));
 }
 
 }  // namespace
