@@ -78,15 +78,19 @@ struct NetworkStatsRecord {
   std::uint64_t recomputes_requested = 0;
   std::uint64_t recomputes_run = 0;
   std::uint64_t recomputes_batched = 0;
+  /// Rate rewrites + certificate entries + fallback visits.
   std::uint64_t flows_scanned = 0;
+  /// Certificates evaluated + fallback heap operations.
   std::uint64_t links_scanned = 0;
+  /// Fallback bottleneck rounds.
   std::uint64_t rounds = 0;
-  /// Component partition: live components after each solve (summed),
-  /// dirty components re-solved, flow rates rewritten, and completion
-  /// re-arms that fell back to a full flow rescan.
+  /// Solves run.
   std::uint64_t components_total = 0;
+  /// Solves that took the progressive-filling fallback.
   std::uint64_t components_dirty = 0;
+  /// Flow rates rewritten by solves.
   std::uint64_t rates_changed = 0;
+  /// Completion re-arms, each a scan of every live flow.
   std::uint64_t completion_rescans = 0;
   double wall_seconds = 0.0;
 };

@@ -9,91 +9,46 @@
 
 namespace custody::net {
 
-void MaxMinFairSolver::reset_links(std::vector<double> capacity) {
+void MaxMinFairSolver::reset_links(std::vector<double> capacity,
+                                   std::size_t num_sources) {
+  assert(num_sources <= capacity.size());
   capacity_ = std::move(capacity);
   link_flows_.assign(capacity_.size(), {});
   flows_.clear();
   live_slots_.clear();
+  sigma_.assign(num_sources, 0.0);
+  cert_failed_.assign(capacity_.size(), 0);
+  failed_certs_ = 0;
+  misfits_ = 0;
+  last_fallback_ = false;
+  marked_.assign(capacity_.size(), 0);
+  marked_sources_.clear();
+  marked_links_.clear();
+  zero_degree_pending_.clear();
   touch_stamp_.assign(capacity_.size(), 0);
   round_stamp_ = 0;
-  comps_.clear();
-  comp_of_link_.assign(capacity_.size(), kNoComponent);
-  dirty_comps_.clear();
-  free_comp_ids_.clear();
-  merged_comps_.clear();
-  zero_degree_pending_.clear();
-  live_comps_ = 0;
-  flow_stamp_.clear();
-  bfs_epoch_ = 0;
 }
 
-std::uint32_t MaxMinFairSolver::alloc_component() {
-  ++live_comps_;
-  if (!free_comp_ids_.empty()) {
-    const std::uint32_t id = free_comp_ids_.back();
-    free_comp_ids_.pop_back();
-    comps_[id].links.clear();
-    comps_[id].dirty = false;
-    comps_[id].live = true;
-    return id;
-  }
-  comps_.emplace_back();
-  comps_.back().live = true;
-  return static_cast<std::uint32_t>(comps_.size() - 1);
-}
-
-void MaxMinFairSolver::mark_dirty(std::uint32_t comp) {
-  if (comps_[comp].dirty) return;
-  comps_[comp].dirty = true;
-  dirty_comps_.push_back(comp);
-}
-
-void MaxMinFairSolver::partition_add(std::size_t slot) {
-  FlowEntry& flow = flows_[slot];
-  if (flow.degree == 0) {
-    zero_degree_pending_.push_back(static_cast<std::uint32_t>(slot));
-    return;
-  }
-  // Merge the components of the flow's links into one (smaller into larger;
-  // the choice only affects which id survives, never any solved rate).
-  std::uint32_t target = kNoComponent;
+void MaxMinFairSolver::classify(FlowEntry& flow) {
+  flow.source = kNoSource;
+  if (flow.degree == 0) return;
+  std::uint32_t sources = 0;
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
-    const std::uint32_t c = comp_of_link_[flow.link[i]];
-    if (c == kNoComponent || c == target) continue;
-    if (target == kNoComponent) {
-      target = c;
-      continue;
-    }
-    std::uint32_t winner = target;
-    std::uint32_t loser = c;
-    if (comps_[loser].links.size() > comps_[winner].links.size()) {
-      std::swap(winner, loser);
-    }
-    for (const std::uint32_t l : comps_[loser].links) {
-      comp_of_link_[l] = winner;
-    }
-    comps_[winner].links.insert(comps_[winner].links.end(),
-                                comps_[loser].links.begin(),
-                                comps_[loser].links.end());
-    comps_[loser].links.clear();
-    comps_[loser].live = false;
-    --live_comps_;
-    comps_[loser].dirty = false;
-    // Freed at the next solve, after the delta reports the id retired —
-    // eager reuse inside the same burst would alias a consumer's
-    // per-component state.
-    merged_comps_.push_back(loser);
-    target = winner;
-  }
-  if (target == kNoComponent) target = alloc_component();
-  for (std::uint32_t i = 0; i < flow.degree; ++i) {
-    const std::uint32_t l = flow.link[i];
-    if (comp_of_link_[l] == kNoComponent) {
-      comp_of_link_[l] = target;
-      comps_[target].links.push_back(l);
+    if (flow.link[i] < sigma_.size()) {
+      flow.source = flow.link[i];
+      ++sources;
     }
   }
-  mark_dirty(target);
+  if (sources != 1) {
+    flow.source = kNoSource;
+    ++misfits_;
+  }
+}
+
+void MaxMinFairSolver::mark(std::uint32_t link) {
+  if (marked_[link]) return;
+  marked_[link] = 1;
+  (link < sigma_.size() ? marked_sources_ : marked_links_).push_back(link);
 }
 
 void MaxMinFairSolver::add_flow(std::size_t slot, const std::size_t* links,
@@ -109,22 +64,21 @@ void MaxMinFairSolver::add_flow(std::size_t slot, const std::size_t* links,
     flow.link[i] = link;
     flow.pos[i] = static_cast<std::uint32_t>(link_flows_[link].size());
     link_flows_[link].push_back(static_cast<std::uint32_t>(slot));
+    mark(link);
   }
   flow.live = true;
   flow.live_pos = static_cast<std::uint32_t>(live_slots_.size());
   live_slots_.push_back(static_cast<std::uint32_t>(slot));
-  partition_add(slot);
+  classify(flow);
+  if (count == 0) zero_degree_pending_.push_back(static_cast<std::uint32_t>(slot));
 }
 
 void MaxMinFairSolver::remove_flow(std::size_t slot) {
   assert(slot < flows_.size() && flows_[slot].live);
   FlowEntry& flow = flows_[slot];
-  if (flow.degree > 0) {
-    // All of a flow's links share one component by construction; removal
-    // may split it, which the next solve discovers by re-partitioning.
-    mark_dirty(comp_of_link_[flow.link[0]]);
-  }
+  if (flow.degree > 0 && flow.source == kNoSource) --misfits_;
   for (std::uint32_t i = 0; i < flow.degree; ++i) {
+    mark(flow.link[i]);
     std::vector<std::uint32_t>& list = link_flows_[flow.link[i]];
     const std::uint32_t pos = flow.pos[i];
     const std::uint32_t moved = list.back();
@@ -147,13 +101,6 @@ void MaxMinFairSolver::remove_flow(std::size_t slot) {
   flows_[moved_slot].live_pos = flow.live_pos;
   flow.live = false;
   flow.degree = 0;
-}
-
-std::uint32_t MaxMinFairSolver::component_of_slot(std::size_t slot) const {
-  assert(slot < flows_.size() && flows_[slot].live);
-  const FlowEntry& flow = flows_[slot];
-  if (flow.degree == 0) return kNoComponent;
-  return comp_of_link_[flow.link[0]];
 }
 
 void MaxMinFairSolver::SaveTo(snap::SnapshotWriter& w) const {
@@ -212,6 +159,28 @@ void MaxMinFairSolver::RestoreFrom(snap::SnapshotReader& r) {
       }
     }
   }
+  // The certified state is derived: snapshots are taken with rates flushed
+  // (nothing marked), so recomputing every share and certificate from the
+  // incidence lists reproduces the live run's — including whether its last
+  // solve fell back, which decides if the next one rewrites every rate.
+  misfits_ = 0;
+  for (const std::uint32_t slot : live_slots_) classify(flows_[slot]);
+  for (std::size_t u = 0; u < sigma_.size(); ++u) {
+    if (link_flows_[u].empty()) continue;
+    sigma_[u] = capacity_[u] / static_cast<double>(link_flows_[u].size());
+  }
+  cert_failed_.assign(num_links, 0);
+  failed_certs_ = 0;
+  SolveCounters unused;
+  for (std::size_t l = sigma_.size(); l < num_links; ++l) {
+    set_verdict(static_cast<std::uint32_t>(l),
+                certify(static_cast<std::uint32_t>(l), unused));
+  }
+  last_fallback_ = misfits_ > 0 || failed_certs_ > 0;
+  marked_.assign(num_links, 0);
+  marked_sources_.clear();
+  marked_links_.clear();
+  zero_degree_pending_.clear();
   // Solve scratch: epoch-stamped or resized-on-demand, so zeroing it is
   // indistinguishable from any live history.
   rem_cap_.clear();
@@ -221,53 +190,48 @@ void MaxMinFairSolver::RestoreFrom(snap::SnapshotReader& r) {
   touched_.clear();
   touch_stamp_.assign(num_links, 0);
   round_stamp_ = 0;
-  flow_stamp_.clear();
-  bfs_epoch_ = 0;
-  rebuild_partition();
 }
 
-void MaxMinFairSolver::rebuild_partition() {
-  // The partition is derived state: snapshots are taken with rates flushed,
-  // so every component was clean (fully split) at save time, and rebuilding
-  // the exact connected components here reproduces it.  Component ids and
-  // link/flow discovery order differ from the live run's, but neither is
-  // observable — the restricted solves visit links through the heap (keyed
-  // by share and link index) and flows through link_flows_ order.
-  comps_.clear();
-  comp_of_link_.assign(capacity_.size(), kNoComponent);
-  dirty_comps_.clear();
-  free_comp_ids_.clear();
-  merged_comps_.clear();
-  zero_degree_pending_.clear();
-  live_comps_ = 0;
-  for (std::size_t seed = 0; seed < capacity_.size(); ++seed) {
-    if (comp_of_link_[seed] != kNoComponent || link_flows_[seed].empty()) {
-      continue;
-    }
-    const std::uint32_t nc = alloc_component();
-    ++bfs_epoch_;
-    if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size());
-    bfs_queue_.clear();
-    comp_of_link_[seed] = nc;
-    comps_[nc].links.push_back(static_cast<std::uint32_t>(seed));
-    bfs_queue_.push_back(static_cast<std::uint32_t>(seed));
-    for (std::size_t qi = 0; qi < bfs_queue_.size(); ++qi) {
-      const std::uint32_t l = bfs_queue_[qi];
-      for (const std::uint32_t f : link_flows_[l]) {
-        if (flow_stamp_[f] == bfs_epoch_) continue;
-        flow_stamp_[f] = bfs_epoch_;
-        const FlowEntry& flow = flows_[f];
-        for (std::uint32_t i = 0; i < flow.degree; ++i) {
-          const std::uint32_t lk = flow.link[i];
-          if (comp_of_link_[lk] == nc) continue;
-          assert(comp_of_link_[lk] == kNoComponent);
-          comp_of_link_[lk] = nc;
-          comps_[nc].links.push_back(lk);
-          bfs_queue_.push_back(lk);
-        }
-      }
-    }
+bool MaxMinFairSolver::certify(std::uint32_t link, SolveCounters& work) {
+  // Progressive filling would freeze this link's flows in source-key order
+  // (sigma_u, u); replay its capacity in that order with the fallback's own
+  // operations and demand that its share never undercuts the next source.
+  const std::vector<std::uint32_t>& list = link_flows_[link];
+  ++work.links_scanned;
+  work.flows_scanned += list.size();
+  double sum = 0.0;
+  for (const std::uint32_t f : list) {
+    const std::uint32_t source = flows_[f].source;
+    if (source == kNoSource) return false;
+    sum += sigma_[source];
   }
+  // Fast fail: a false failure only costs an exact fallback, and a pass
+  // still goes through the exact replay.
+  if (!(sum <= capacity_[link])) return false;
+  cert_keys_.clear();
+  for (const std::uint32_t f : list) {
+    const std::uint32_t source = flows_[f].source;
+    cert_keys_.emplace_back(sigma_[source], source);
+  }
+  std::sort(cert_keys_.begin(), cert_keys_.end());
+  double rem = capacity_[link];
+  auto unassigned = static_cast<std::uint32_t>(list.size());
+  for (std::size_t i = 0; i < cert_keys_.size(); ++i) {
+    const double sigma = cert_keys_[i].first;
+    if ((i == 0 || cert_keys_[i] != cert_keys_[i - 1]) &&
+        !(rem / unassigned >= sigma)) {
+      return false;
+    }
+    rem = std::max(0.0, rem - sigma);
+    --unassigned;
+  }
+  return true;
+}
+
+void MaxMinFairSolver::set_verdict(std::uint32_t link, bool holds) {
+  const std::uint8_t failed = holds ? 0 : 1;
+  failed_certs_ = failed_certs_ + failed - cert_failed_[link];
+  cert_failed_[link] = failed;
 }
 
 // Min-heap ordering on (share, link index): the seed's linear scan keeps
@@ -291,36 +255,37 @@ MaxMinFairSolver::HeapEntry MaxMinFairSolver::heap_pop() {
   return entry;
 }
 
-void MaxMinFairSolver::solve_component(
-    const std::vector<std::uint32_t>& links,
-    const std::vector<std::uint32_t>& comp_flows, std::vector<double>& rates,
-    SolveCounters* counters) {
-  // The bottleneck loop of progressive filling, restricted to one
-  // component's links and flows.  rem_cap_/unassigned_ persist across
-  // components but only this component's entries are initialized — no flow
-  // here touches any other link, so stale entries elsewhere are never read.
-  // The heap pop order depends only on its (share, link) contents, never
-  // insertion order (keys are unique per link), so seeding it from
-  // BFS-ordered links matches an ascending-index seeding bit for bit.
+void MaxMinFairSolver::fill_all(std::vector<double>& rates, SolveDelta& delta,
+                                SolveCounters& work) {
+  // The bottleneck loop of progressive filling over every live flow.  The
+  // heap pop order depends only on its (share, link) contents, never on
+  // insertion order (keys are unique per link), so heapifying the initial
+  // entries matches the seed's scan order bit for bit.
   if (rem_cap_.size() < capacity_.size()) rem_cap_.resize(capacity_.size());
   if (unassigned_.size() < capacity_.size()) {
     unassigned_.resize(capacity_.size());
   }
   if (assigned_.size() < flows_.size()) assigned_.resize(flows_.size(), 1);
   heap_.clear();
-  for (const std::uint32_t l : links) {
+  for (std::uint32_t l = 0; l < capacity_.size(); ++l) {
+    if (link_flows_[l].empty()) continue;
     rem_cap_[l] = capacity_[l];
     unassigned_[l] = static_cast<std::uint32_t>(link_flows_[l].size());
-    heap_push({rem_cap_[l] / unassigned_[l], l});
+    heap_.push_back({rem_cap_[l] / unassigned_[l], l});
   }
-  if (counters != nullptr) counters->links_scanned += links.size();
-  for (const std::uint32_t f : comp_flows) assigned_[f] = 0;
-  std::size_t remaining = comp_flows.size();
+  std::make_heap(heap_.begin(), heap_.end(), HeapAfter);
+  work.links_scanned += heap_.size();
+  for (const std::uint32_t f : live_slots_) {
+    if (flows_[f].degree == 0) continue;
+    assigned_[f] = 0;
+    delta.changed_slots.push_back(f);
+  }
+  std::size_t remaining = delta.changed_slots.size();
 
   while (remaining > 0) {
     assert(!heap_.empty());
     const HeapEntry top = heap_pop();
-    if (counters != nullptr) ++counters->links_scanned;
+    ++work.links_scanned;
     const std::uint32_t l = top.link;
     if (unassigned_[l] == 0) continue;
     const double share = rem_cap_[l] / unassigned_[l];
@@ -328,11 +293,11 @@ void MaxMinFairSolver::solve_component(
       heap_push({share, l});
       continue;
     }
-    if (counters != nullptr) ++counters->rounds;
+    ++work.rounds;
     ++round_stamp_;
     touched_.clear();
     for (const std::uint32_t f : link_flows_[l]) {
-      if (counters != nullptr) ++counters->flows_scanned;
+      ++work.flows_scanned;
       if (assigned_[f]) continue;
       rates[f] = share;
       assigned_[f] = 1;
@@ -351,17 +316,17 @@ void MaxMinFairSolver::solve_component(
     for (const std::uint32_t lk : touched_) {
       if (unassigned_[lk] == 0) continue;
       heap_push({rem_cap_[lk] / unassigned_[lk], lk});
-      if (counters != nullptr) ++counters->links_scanned;
+      ++work.links_scanned;
     }
   }
-  for (const std::uint32_t f : comp_flows) assigned_[f] = 1;
 }
 
 void MaxMinFairSolver::solve(std::vector<double>& rates, SolveDelta& delta,
                              SolveCounters* counters) {
+  SolveCounters scratch;
+  SolveCounters& work = counters != nullptr ? *counters : scratch;
   if (rates.size() < flows_.size()) rates.resize(flows_.size(), 0.0);
   delta.clear();
-  if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size());
 
   for (const std::uint32_t slot : zero_degree_pending_) {
     // A pending zero-degree slot may have been removed (and even reused by
@@ -375,70 +340,57 @@ void MaxMinFairSolver::solve(std::vector<double>& rates, SolveDelta& delta,
   }
   zero_degree_pending_.clear();
 
-  for (const std::uint32_t c : merged_comps_) {
-    delta.retired_components.push_back(c);
-    free_comp_ids_.push_back(c);
-  }
-  merged_comps_.clear();
-
-  const std::size_t num_dirty = dirty_comps_.size();
-  for (std::size_t di = 0; di < num_dirty; ++di) {
-    const std::uint32_t c = dirty_comps_[di];
-    if (!comps_[c].live || !comps_[c].dirty) continue;  // merged away
-    // Retire the dirty component: move its link list out (the id may be
-    // reused by the first sub-component below) and release every link.
-    links_scratch_.clear();
-    links_scratch_.swap(comps_[c].links);
-    comps_[c].live = false;
-    comps_[c].dirty = false;
-    --live_comps_;
-    free_comp_ids_.push_back(c);
-    delta.retired_components.push_back(c);
-    if (counters != nullptr) ++counters->components_dirty;
-    for (const std::uint32_t l : links_scratch_) {
-      comp_of_link_[l] = kNoComponent;
-    }
-    // Re-partition by BFS: one fresh component per connectivity class,
-    // solved immediately.  Links left with no flows drop out entirely.
-    for (const std::uint32_t seed : links_scratch_) {
-      if (comp_of_link_[seed] != kNoComponent) continue;  // already claimed
-      if (link_flows_[seed].empty()) continue;
-      const std::uint32_t nc = alloc_component();
-      ++bfs_epoch_;
-      bfs_queue_.clear();
-      comp_flows_.clear();
-      comp_of_link_[seed] = nc;
-      comps_[nc].links.push_back(seed);
-      bfs_queue_.push_back(seed);
-      for (std::size_t qi = 0; qi < bfs_queue_.size(); ++qi) {
-        const std::uint32_t l = bfs_queue_[qi];
-        for (const std::uint32_t f : link_flows_[l]) {
-          if (flow_stamp_[f] == bfs_epoch_) continue;
-          flow_stamp_[f] = bfs_epoch_;
-          if (counters != nullptr) ++counters->flows_scanned;
-          comp_flows_.push_back(f);
-          const FlowEntry& flow = flows_[f];
-          for (std::uint32_t i = 0; i < flow.degree; ++i) {
-            const std::uint32_t lk = flow.link[i];
-            if (comp_of_link_[lk] == nc) continue;
-            // Every link of a flow in a dirty component was released above.
-            assert(comp_of_link_[lk] == kNoComponent);
-            comp_of_link_[lk] = nc;
-            comps_[nc].links.push_back(lk);
-            bfs_queue_.push_back(lk);
-          }
+  // While a misfit is live every solve falls back, so the marks stay queued
+  // until certificates can matter again.  A touched source's share moved,
+  // so every link its flows cross is re-certified along with the links
+  // touched directly.
+  if (misfits_ == 0) {
+    for (const std::uint32_t u : marked_sources_) {
+      const std::vector<std::uint32_t>& list = link_flows_[u];
+      if (list.empty()) continue;
+      sigma_[u] = capacity_[u] / static_cast<double>(list.size());
+      for (const std::uint32_t f : list) {
+        const FlowEntry& flow = flows_[f];
+        for (std::uint32_t i = 0; i < flow.degree; ++i) {
+          if (flow.link[i] >= sigma_.size()) mark(flow.link[i]);
         }
       }
-      solve_component(comps_[nc].links, comp_flows_, rates, counters);
-      delta.fresh_components.push_back(nc);
-      delta.changed_slots.insert(delta.changed_slots.end(),
-                                  comp_flows_.begin(), comp_flows_.end());
-      delta.component_ends.push_back(
-          static_cast<std::uint32_t>(delta.changed_slots.size()));
+    }
+    for (const std::uint32_t l : marked_links_) {
+      set_verdict(l, certify(l, work));
+      marked_[l] = 0;
+    }
+    marked_links_.clear();
+  }
+
+  const bool fallback = misfits_ > 0 || failed_certs_ > 0;
+  if (fallback) {
+    fill_all(rates, delta, work);
+  } else if (last_fallback_) {
+    // The previous solve's rates came from the fallback: rewrite them all.
+    for (const std::uint32_t f : live_slots_) {
+      if (flows_[f].degree == 0) continue;
+      rates[f] = sigma_[flows_[f].source];
+      delta.changed_slots.push_back(f);
+    }
+  } else {
+    // Every flow on a source has that source (no misfits), and only the
+    // touched sources' shares can have moved.
+    for (const std::uint32_t u : marked_sources_) {
+      for (const std::uint32_t f : link_flows_[u]) {
+        rates[f] = sigma_[u];
+        delta.changed_slots.push_back(f);
+      }
     }
   }
-  dirty_comps_.clear();
-  if (counters != nullptr) counters->components_total += live_component_count();
+  if (misfits_ == 0) {
+    for (const std::uint32_t u : marked_sources_) marked_[u] = 0;
+    marked_sources_.clear();
+  }
+  last_fallback_ = fallback;
+  work.flows_scanned += delta.changed_slots.size();
+  ++work.components_total;
+  if (fallback) ++work.components_dirty;
 }
 
 }  // namespace custody::net

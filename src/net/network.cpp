@@ -50,7 +50,7 @@ Network::Network(sim::Simulator& sim, NetworkConfig config)
     capacity[n + i] = config_.downlink_bps;
   }
   if (has_core) capacity[2 * n] = config_.core_bps;
-  solver_.reset_links(std::move(capacity));
+  solver_.reset_links(std::move(capacity), n);
   // End-of-burst flush: the simulator runs this between events, so any
   // number of same-timestamp start/cancel/completion mutations collapse
   // into one recompute before the next event (or rate observation).
@@ -140,7 +140,6 @@ void Network::cancel_flow(FlowId id) {
   advance_progress();
   const std::uint32_t slot = it->second;
   slot_of_.erase(it);
-  forget_rate(slots_[slot].rate);
   solver_.remove_flow(slot);
   unlink_slot(slot);
   request_recompute();
@@ -166,9 +165,6 @@ void Network::advance_progress() {
   const double elapsed = now - last_update_;
   last_update_ = now;
   if (elapsed <= 0.0) return;
-  // Elapsed time shifts every remaining/rate delay, so the cached
-  // per-component completion minima are stale from here on.
-  completion_cache_valid_ = false;
   assert(!dirty_);  // time must never pass with stale rates
   for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
     Slot& flow = slots_[s];
@@ -176,11 +172,6 @@ void Network::advance_progress() {
     flow.remaining -= moved;
     bytes_delivered_ += moved;
   }
-}
-
-void Network::forget_rate(double rate) {
-  if (rate > 0.0) --positive_rate_count_;
-  if (std::isinf(rate)) --unconstrained_live_;
 }
 
 void Network::request_recompute() {
@@ -198,23 +189,13 @@ void Network::recompute() {
   ++stats_.recomputes_run;
   const auto wall_start = std::chrono::steady_clock::now();
   SolveCounters counters;
-  // Only dirty components were re-solved, so only their slots' rates can
-  // have changed — copy those, keep the positive-rate census current, and
-  // leave clean components untouched.
+  // Only the delta's slots were rewritten; every other rate is unchanged.
   solver_.solve(rates_scratch_, delta_, &counters);
   for (const std::uint32_t s : delta_.changed_slots) {
-    Slot& flow = slots_[s];
-    const double fresh = rates_scratch_[s];
-    positive_rate_count_ += (fresh > 0.0 ? 1 : 0) - (flow.rate > 0.0 ? 1 : 0);
-    flow.rate = fresh;
+    slots_[s].rate = rates_scratch_[s];
   }
   for (const std::uint32_t s : delta_.unconstrained_slots) {
-    Slot& flow = slots_[s];
-    const double fresh = rates_scratch_[s];
-    positive_rate_count_ += (fresh > 0.0 ? 1 : 0) - (flow.rate > 0.0 ? 1 : 0);
-    unconstrained_live_ +=
-        (std::isinf(fresh) ? 1 : 0) - (std::isinf(flow.rate) ? 1 : 0);
-    flow.rate = fresh;
+    slots_[s].rate = rates_scratch_[s];
   }
   const std::size_t changed =
       delta_.changed_slots.size() + delta_.unconstrained_slots.size();
@@ -252,92 +233,20 @@ void Network::recompute() {
 
 void Network::arm_completion_event() {
   completion_event_.cancel();
-  if (live_count_ == 0) {
-    // The delta that drained the last components was never folded into the
-    // minima cache; start cold when flows return.
-    completion_cache_valid_ = false;
-    return;
-  }
+  if (live_count_ == 0) return;
+  ++stats_.completion_rescans;
+  // Recomputing every delay fresh from remaining/rate is what keeps the
+  // completion time bit-identical to the seed's per-flow scan.
   double soonest = std::numeric_limits<double>::infinity();
-  // The stranded check comes from the positive-rate census, and `soonest`
-  // from per-component minima — patched from the solve's delta while no
-  // simulated time has passed (a min over disjoint groups is the min of the
-  // group minima, so this is the exact value a scan over every flow would
-  // produce), rebuilt by a full rescan otherwise (elapsed time shifts every
-  // remaining/rate, and recomputing each delay fresh is what keeps the
-  // value bit-identical to the seed's per-flow scan).
-  if (AllFlowsStranded(live_count_, positive_rate_count_ > 0 ? 1.0 : 0.0)) {
+  bool any_positive = false;
+  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+    const Slot& flow = slots_[s];
+    if (flow.rate <= 0.0) continue;
+    any_positive = true;
+    soonest = std::min(soonest, flow.remaining / flow.rate);
+  }
+  if (AllFlowsStranded(live_count_, any_positive ? 1.0 : 0.0)) {
     throw_stranded();
-  }
-  // Infinite-rate (zero-degree) flows belong to no component; while any is
-  // live the patch path cannot see its 0 delay, so force the rescan.  The
-  // Network itself never creates them (every flow crosses >= 2 links);
-  // this keeps the solver-level generality safe.
-  if (unconstrained_live_ > 0) completion_cache_valid_ = false;
-  if (!completion_cache_valid_) {
-    ++stats_.completion_rescans;
-    comp_min_.assign(solver_.component_count(),
-                     std::numeric_limits<double>::quiet_NaN());
-    comp_heap_.clear();
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      const Slot& flow = slots_[s];
-      if (flow.rate <= 0.0) continue;
-      const double d = flow.remaining / flow.rate;
-      const std::uint32_t c = solver_.component_of_slot(s);
-      if (c == MaxMinFairSolver::kNoComponent) {
-        soonest = std::min(soonest, d);
-        continue;
-      }
-      double& m = comp_min_[c];
-      if (std::isnan(m) || d < m) m = d;
-    }
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(comp_min_.size()); ++c) {
-      if (std::isnan(comp_min_[c])) continue;
-      comp_heap_.push_back({comp_min_[c], c});
-      std::push_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
-    }
-    completion_cache_valid_ = true;
-  } else {
-    for (const std::uint32_t c : delta_.retired_components) {
-      if (c < comp_min_.size()) {
-        comp_min_[c] = std::numeric_limits<double>::quiet_NaN();
-      }
-    }
-    if (comp_min_.size() < solver_.component_count()) {
-      comp_min_.resize(solver_.component_count(),
-                       std::numeric_limits<double>::quiet_NaN());
-    }
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < delta_.fresh_components.size(); ++i) {
-      const std::uint32_t c = delta_.fresh_components[i];
-      const std::size_t end = delta_.component_ends[i];
-      double m = std::numeric_limits<double>::quiet_NaN();
-      for (std::size_t k = begin; k < end; ++k) {
-        const Slot& flow = slots_[delta_.changed_slots[k]];
-        if (flow.rate <= 0.0) continue;
-        const double d = flow.remaining / flow.rate;
-        if (std::isnan(m) || d < m) m = d;
-      }
-      comp_min_[c] = m;
-      if (!std::isnan(m)) {
-        comp_heap_.push_back({m, c});
-        std::push_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
-      }
-      begin = end;
-    }
-  }
-  // Lazy peek: drop entries whose component was retired or re-solved to a
-  // different minimum since they were pushed.
-  while (!comp_heap_.empty()) {
-    const CompMinEntry top = comp_heap_.front();
-    if (top.comp < comp_min_.size() && !std::isnan(comp_min_[top.comp]) &&
-        comp_min_[top.comp] == top.delay) {
-      soonest = std::min(soonest, top.delay);
-      break;
-    }
-    std::pop_heap(comp_heap_.begin(), comp_heap_.end(), CompHeapAfter);
-    comp_heap_.pop_back();
   }
   if (!std::isfinite(soonest)) return;
   const double delay = std::max(0.0, soonest);
@@ -465,19 +374,6 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
                                       [this] { on_completion_event(); });
   }
   solver_.RestoreFrom(r);
-  // The partition itself was rebuilt inside the solver (it is derived
-  // state); the completion-minima cache and the rate censuses are rebuilt
-  // here.  The cache starts cold — the first arm rescans.
-  positive_rate_count_ = 0;
-  unconstrained_live_ = 0;
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    const Slot& f = slots_[s];
-    if (f.rate > 0.0) ++positive_rate_count_;
-    if (std::isinf(f.rate)) ++unconstrained_live_;
-  }
-  completion_cache_valid_ = false;
-  comp_min_.clear();
-  comp_heap_.clear();
   delta_.clear();
 }
 
@@ -500,7 +396,6 @@ void Network::on_completion_event() {
     if (done) {
       callbacks.push_back(std::move(flow.on_complete));
       slot_of_.erase(flow.id);
-      forget_rate(flow.rate);
       solver_.remove_flow(s);
       unlink_slot(s);
     }

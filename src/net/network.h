@@ -11,11 +11,12 @@
 // simulator event ("same-timestamp batching": a shuffle fan-out that starts
 // k flows in one event costs one solve, not k), flushed by a simulator
 // post-event hook or lazily when a rate is observed.  The solve runs on
-// MaxMinFairSolver's persistent, component-partitioned link-incidence
-// structure, and the completion event is re-armed from the solve's rate
-// delta.  Rates, completion order and completion times are bit-identical to
-// the seed's recompute-per-change progressive filling; the goldens in
-// tests/net_equivalence_test.cpp were recorded from that path.
+// MaxMinFairSolver's persistent link incidence, which certifies each flow's
+// source-uplink share and re-solves only what changed; the completion event
+// is re-armed by one scan of the live flows.  Rates, completion order and
+// completion times are bit-identical to the seed's recompute-per-change
+// progressive filling; the goldens in tests/net_equivalence_test.cpp were
+// recorded from that path.
 //
 // The default capacities mirror the paper's Linode nodes (Sec. VI-A):
 // 40 Gbps downlink and 2 Gbps uplink per node.  An optional aggregate core
@@ -57,21 +58,20 @@ struct NetStats {
   std::uint64_t recomputes_requested = 0;
   /// Rate solves actually executed.
   std::uint64_t recomputes_run = 0;
-  /// Flow-incidence entries visited across all solves.
+  /// Rate rewrites + certificate entries + flows visited by fallback
+  /// rounds, across all solves.
   std::uint64_t flows_scanned = 0;
-  /// Link inspections (scans or heap operations) across all solves.
+  /// Certificates evaluated + fallback heap operations, across all solves.
   std::uint64_t links_scanned = 0;
-  /// Bottleneck rounds across all solves.
+  /// Fallback bottleneck rounds across all solves.
   std::uint64_t rounds = 0;
-  /// Live connectivity components after each solve, summed across solves.
+  /// Solves run (the name predates the certified solver).
   std::uint64_t components_total = 0;
-  /// Dirty components re-solved across all solves.
+  /// Solves that took the progressive-filling fallback.
   std::uint64_t components_dirty = 0;
-  /// Flow rates (re)written by solves — only dirty components' flows.
+  /// Flow rates (re)written by solves.
   std::uint64_t rates_changed = 0;
-  /// Completion re-arms that had to rescan every live flow (time advanced
-  /// since the last arm, or the minima cache was cold); same-timestamp
-  /// bursts re-arm from the rate delta instead.
+  /// Completion re-arms, each a scan of every live flow.
   std::uint64_t completion_rescans = 0;
   /// Wall-clock seconds spent inside rate solves.
   double wall_seconds = 0.0;
@@ -139,6 +139,9 @@ class Network {
   /// Rate-path work counters (recomputes run/batched, scan counts, wall).
   [[nodiscard]] const NetStats& stats() const { return stats_; }
 
+  /// The rate solver's read-only state, for audits.
+  [[nodiscard]] const MaxMinFairSolver& solver() const { return solver_; }
+
   /// Optional span tracing (null disables; the default).  Each executed rate
   /// solve is recorded as an instant; tracing never changes flow rates.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -195,8 +198,6 @@ class Network {
   void arm_completion_event();
   void on_completion_event();
   [[noreturn]] void throw_stranded() const;
-  /// Book a live flow's removal into the rate censuses.
-  void forget_rate(double rate);
 
   sim::Simulator& sim_;
   NetworkConfig config_;
@@ -213,33 +214,8 @@ class Network {
   bool dirty_ = false;
   sim::Simulator::HookId hook_ = 0;
 
-  /// What the last solve changed (consumed by the completion re-arm; valid
-  /// only between recompute() and arm_completion_event()).
+  /// What the last solve changed (reused across solves).
   SolveDelta delta_;
-  /// Live flows with rate > 0 — replaces an arm-time max-rate scan for
-  /// the stranded check.
-  std::size_t positive_rate_count_ = 0;
-  /// Live flows with an infinite (unconstrained, zero-degree) rate; any
-  /// forces the completion re-arm onto the full-rescan path.
-  std::size_t unconstrained_live_ = 0;
-  /// Per-component minimum of remaining/rate, NaN = no positive-rate flow
-  /// or component retired.  Valid only while no simulated time has passed
-  /// since the values were computed (delays shift when time advances).
-  std::vector<double> comp_min_;
-  /// Lazy min-heap over (delay, component); entries whose delay no longer
-  /// matches comp_min_ are dropped on pop.
-  struct CompMinEntry {
-    double delay;
-    std::uint32_t comp;
-  };
-  static bool CompHeapAfter(const CompMinEntry& a, const CompMinEntry& b) {
-    if (a.delay != b.delay) return a.delay > b.delay;
-    return a.comp > b.comp;
-  }
-  std::vector<CompMinEntry> comp_heap_;
-  /// False once simulated time advances (or after restore / a drained flow
-  /// set): the next arm must rescan every live flow instead of patching.
-  bool completion_cache_valid_ = false;
 
   SimTime last_update_ = 0.0;
   sim::EventHandle completion_event_;

@@ -1,8 +1,9 @@
 // Equivalence proof for the network rate path.
 //
-// The production path (batched recomputes + persistent, component-
-// partitioned incidence + heap-based progressive filling + completion
-// re-arm from the rate delta) must be *bit-identical* to the seed's
+// The production path (batched recomputes + persistent incidence +
+// certified source-share rates with a heap-based progressive-filling
+// fallback + one completion re-arm scan per solve) must be
+// *bit-identical* to the seed's
 // recompute-per-change progressive filling: same rates, same completion
 // order, same completion times, same bytes delivered.  These suites drive it
 // through randomized churn at three levels and compare with exact double
@@ -14,8 +15,11 @@
 //    config that produced it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -119,10 +123,11 @@ TEST(MaxMinFairSolver, BitIdenticalToReferenceUnderChurn) {
 }
 
 // Counters must reflect the asymptotic win.  The seed rescans every flow
-// and every link per bottleneck round; the heap path only touches entries
-// incident to the round's bottleneck.  With F flows on F *distinct*
-// bottlenecks (worst case for the scan: F rounds) the seed does
-// ~F x (F + 2L) work while the heap path stays ~O(F + L).
+// and every link per bottleneck round; the heap fallback only touches
+// entries incident to the round's bottleneck, and the certified path runs
+// no rounds at all.  With F flows on F *distinct* bottlenecks (worst case
+// for the scan: F rounds) the seed does ~F x (F + 2L) work while both
+// production paths stay ~O(F + L).
 TEST(MaxMinFairSolver, CountersShowSubLinearPerRoundWork) {
   const std::size_t n = 100;  // nodes -> 200 links
   std::vector<double> capacity(2 * n);
@@ -130,45 +135,60 @@ TEST(MaxMinFairSolver, CountersShowSubLinearPerRoundWork) {
     capacity[i] = 10.0 + static_cast<double>(i);  // distinct uplink shares
     capacity[n + i] = 1e9;
   }
-  MaxMinFairSolver solver;
-  solver.reset_links(capacity);
   std::vector<std::vector<std::size_t>> flow_links;
-  for (std::size_t f = 0; f < n; ++f) {
-    const std::size_t links[2] = {f, n + f};
-    solver.add_flow(f, links, 2);
-    flow_links.push_back({f, n + f});
-  }
-  std::vector<double> rates;
-  SolveDelta delta;
-  SolveCounters inc;
-  solver.solve(rates, delta, &inc);
+  for (std::size_t f = 0; f < n; ++f) flow_links.push_back({f, n + f});
   SolveCounters ref;
   const auto ref_rates = MaxMinFairRates(flow_links, capacity, &ref);
-  for (std::size_t f = 0; f < n; ++f) EXPECT_EQ(rates[f], ref_rates[f]);
-
-  // Every flow is its own bottleneck: F rounds on both paths.
+  // Seed: per-round full rescans, every flow its own bottleneck.
   EXPECT_EQ(ref.rounds, n);
-  EXPECT_EQ(inc.rounds, n);
-  // Seed: per-round full rescans.  Heap: one init pass + one pop per
-  // round, no rescans — over an order of magnitude fewer link inspections.
   EXPECT_EQ(ref.links_scanned, ref.rounds * 2 * n);
   EXPECT_EQ(ref.flows_scanned, ref.rounds * n);
-  EXPECT_LE(inc.links_scanned, 2 * n + 2 * inc.rounds);
-  // Each flow is visited twice: once when its component is discovered, once
-  // when its bottleneck freezes it.
-  EXPECT_EQ(inc.flows_scanned, 2 * n);
-  EXPECT_LT(inc.links_scanned * 10, ref.links_scanned);
+
+  const auto solve = [&](std::size_t num_sources) {
+    MaxMinFairSolver solver;
+    solver.reset_links(capacity, num_sources);
+    for (std::size_t f = 0; f < n; ++f) {
+      solver.add_flow(f, flow_links[f].data(), 2);
+    }
+    std::vector<double> rates;
+    SolveDelta delta;
+    SolveCounters inc;
+    solver.solve(rates, delta, &inc);
+    for (std::size_t f = 0; f < n; ++f) EXPECT_EQ(rates[f], ref_rates[f]);
+    EXPECT_EQ(inc.components_total, 1u);  // one solve
+    return inc;
+  };
+
+  // Without the layout every solve is the heap fallback: F rounds, one
+  // init pass + one pop per round, no rescans.
+  const SolveCounters heap = solve(0);
+  EXPECT_EQ(heap.components_dirty, 1u);
+  EXPECT_EQ(heap.rounds, n);
+  EXPECT_LE(heap.links_scanned, 2 * n + 2 * heap.rounds);
+  // Each flow is visited twice: once when its bottleneck freezes it, once
+  // when its rate is rewritten.
+  EXPECT_EQ(heap.flows_scanned, 2 * n);
+  EXPECT_LT(heap.links_scanned * 10, ref.links_scanned);
+
+  // With it, each downlink's certificate holds: no rounds, one certificate
+  // per downlink, and each flow is visited as a certificate entry and as a
+  // rate rewrite.
+  const SolveCounters cert = solve(n);
+  EXPECT_EQ(cert.components_dirty, 0u);
+  EXPECT_EQ(cert.rounds, 0u);
+  EXPECT_EQ(cert.links_scanned, n);
+  EXPECT_EQ(cert.flows_scanned, 2 * n);
 }
 
-// ---------- solver vs. the seed oracle: deltas and components --------------
+// ---------- solver vs. the seed oracle: deltas, certificates, fallback -----
 
 // The solver under a second randomized churn: rates must stay bitwise equal
 // to the from-scratch seed pass, AND the SolveDelta must be
 // complete — a shadow rate table updated *only* from reported deltas has to
-// agree with the reference too, which catches both a changed-but-unreported
-// slot (stale shadow) and a clean component being needlessly re-solved
-// (checked via the dirty counter).
-TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
+// agree with the reference too, which catches a changed-but-unreported
+// slot (stale shadow).  Random topologies have no source layout, so every
+// solve here is the progressive-filling fallback.
+TEST(MaxMinFairSolver, BitIdenticalWithCompleteDeltas) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     Rng rng(seed * 104729);
     const std::size_t num_links =
@@ -221,17 +241,15 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
         live.push_back({slot, links});
       }
 
+      const std::uint64_t fallbacks_before = counters.components_dirty;
       solver.solve(rates, delta, &counters);
-
-      // Delta framing: one end offset per fresh component, monotone, the
-      // last covering every changed slot.
-      ASSERT_EQ(delta.component_ends.size(), delta.fresh_components.size());
-      std::uint32_t prev_end = 0;
-      for (const std::uint32_t end : delta.component_ends) {
-        ASSERT_GE(end, prev_end);
-        prev_end = end;
-      }
-      ASSERT_EQ(prev_end, delta.changed_slots.size());
+      // No flow with links fits a layout without sources, so the solve
+      // fell back unless only zero-degree flows are live.
+      const bool any_constrained =
+          std::any_of(live.begin(), live.end(),
+                      [](const LiveFlow& f) { return !f.links.empty(); });
+      EXPECT_EQ(counters.components_dirty - fallbacks_before,
+                any_constrained ? 1u : 0u);
 
       if (shadow.size() < rates.size()) shadow.resize(rates.size(), -1.0);
       for (const std::uint32_t slot : delta.changed_slots) {
@@ -254,33 +272,14 @@ TEST(MaxMinFairSolver, PartitionedBitIdenticalWithCompleteDeltas) {
         EXPECT_EQ(shadow[slot], ref[i])
             << "delta missed a changed slot: seed " << seed << " batch "
             << batch << " flow " << i;
-        // Zero-degree flows own no links and no component.
-        EXPECT_EQ(solver.component_of_slot(slot) == MaxMinFairSolver::kNoComponent,
-                  live[i].links.empty())
-            << "seed " << seed << " batch " << batch << " flow " << i;
-      }
-      // Flows sharing a link must share a component.
-      for (const auto& a : live) {
-        for (const auto& b : live) {
-          for (const std::size_t la : a.links) {
-            if (std::find(b.links.begin(), b.links.end(), la) !=
-                b.links.end()) {
-              EXPECT_EQ(solver.component_of_slot(a.slot),
-                        solver.component_of_slot(b.slot))
-                  << "seed " << seed << " batch " << batch;
-            }
-          }
-        }
       }
     }
-    // Across the run, at least as many components existed as were dirty.
-    EXPECT_GE(counters.components_total, counters.components_dirty);
+    EXPECT_EQ(counters.components_total, static_cast<std::uint64_t>(batches));
   }
 }
 
-// A zero-capacity link freezes its flows at rate 0 on both sides; the link
-// is still connectivity (it can merge components) even though it carries no
-// bandwidth.
+// A zero-capacity link freezes its flows at rate 0 on both sides, on the
+// fallback and on the certified path alike.
 TEST(MaxMinFairSolver, ZeroCapacityLinkBitIdentical) {
   const std::vector<double> capacity = {0.0, 100.0, 50.0};
   MaxMinFairSolver solver;
@@ -300,15 +299,45 @@ TEST(MaxMinFairSolver, ZeroCapacityLinkBitIdentical) {
   EXPECT_EQ(rates[1], ref[1]);
   EXPECT_EQ(rates[0], 0.0);  // bottlenecked by the dead link
   EXPECT_GT(rates[1], 0.0);
-  // Link 1 is shared, so both flows live in one component.
-  EXPECT_EQ(solver.live_component_count(), 1u);
-  EXPECT_EQ(solver.component_of_slot(0), solver.component_of_slot(1));
+  EXPECT_EQ(counters.components_dirty, 1u);  // no layout: the fallback
+
+  // A dead source uplink has sigma = 0, which wins the tie against any
+  // non-negative link share, so its flow certifies at rate 0; a dead
+  // downlink's share 0 undercuts a positive sigma and forces the fallback.
+  const std::vector<double> layout = {0.0, 40.0, 50.0, 0.0};
+  MaxMinFairSolver certified;
+  certified.reset_links(layout, /*num_sources=*/2);
+  const std::size_t g0[2] = {0, 2};
+  const std::size_t g1[2] = {1, 2};
+  certified.add_flow(0, g0, 2);
+  certified.add_flow(1, g1, 2);
+  SolveCounters cert_counters;
+  certified.solve(rates, delta, &cert_counters);
+  const std::vector<double> cert_ref =
+      MaxMinFairRates({{0, 2}, {1, 2}}, layout);
+  EXPECT_EQ(rates[0], cert_ref[0]);
+  EXPECT_EQ(rates[1], cert_ref[1]);
+  EXPECT_EQ(rates[0], 0.0);
+  EXPECT_EQ(cert_counters.components_dirty, 0u);
+  EXPECT_EQ(oracle::AuditCertificates(certified, &rates), "");
+
+  const std::size_t g2[2] = {1, 3};  // onto the dead downlink
+  certified.add_flow(2, g2, 2);
+  certified.solve(rates, delta, &cert_counters);
+  const std::vector<double> dead_ref =
+      MaxMinFairRates({{0, 2}, {1, 2}, {1, 3}}, layout);
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(rates[s], dead_ref[s]);
+  EXPECT_EQ(rates[2], 0.0);
+  EXPECT_FALSE(certified.certified(3));
+  EXPECT_EQ(cert_counters.components_dirty, 1u);
+  EXPECT_EQ(oracle::AuditCertificates(certified, &rates), "");
 }
 
-// Slot reuse across solves: the partition must track the slot's *new* links,
-// not remember the old ones.  The emptied component retires; the reused slot
-// joins (and merges into) whatever its new links touch.
-TEST(MaxMinFairSolver, SlotReuseAcrossSolvesRepartitionsExactly) {
+// Slot reuse across solves: the solver must track the slot's *new* links,
+// not remember the old ones — on the fallback (no layout) and on the
+// certified path, where the reused slot moves to another source and both
+// sources' flows must be rewritten.
+TEST(MaxMinFairSolver, SlotReuseAcrossSolvesRecertifiesExactly) {
   const std::vector<double> capacity = {10.0, 20.0, 30.0, 40.0};
   MaxMinFairSolver solver;
   solver.reset_links(capacity);
@@ -320,30 +349,55 @@ TEST(MaxMinFairSolver, SlotReuseAcrossSolvesRepartitionsExactly) {
   SolveCounters counters;
   SolveDelta delta;
   solver.solve(rates, delta, &counters);
-  EXPECT_EQ(solver.live_component_count(), 2u);
+  EXPECT_EQ(delta.changed_slots.size(), 2u);
 
-  // Retire flow 0; its component (links 0, 1) dissolves at the next solve.
+  // Retire flow 0; the fallback rewrites the one flow left.
   solver.remove_flow(0);
   solver.solve(rates, delta, &counters);
-  EXPECT_EQ(solver.live_component_count(), 1u);
+  EXPECT_EQ(delta.changed_slots, std::vector<std::uint32_t>{1});
 
-  // Reuse slot 0 with different links: one unowned (1), one owned (2).
+  // Reuse slot 0 with different links: one now-empty (1), one shared (2).
   const std::size_t reused[2] = {1, 2};
   solver.add_flow(0, reused, 2);
   solver.solve(rates, delta, &counters);
-  EXPECT_EQ(solver.live_component_count(), 1u);
-  EXPECT_EQ(solver.component_of_slot(0), solver.component_of_slot(1));
+  EXPECT_EQ(delta.changed_slots.size(), 2u);
 
   const std::vector<double> ref =
       MaxMinFairRates({{1, 2}, {2, 3}}, capacity);
   EXPECT_EQ(rates[0], ref[0]);
   EXPECT_EQ(rates[1], ref[1]);
+
+  // The same reuse with sources {0, 1} and downlinks {2, 3}.
+  MaxMinFairSolver certified;
+  certified.reset_links(capacity, /*num_sources=*/2);
+  const std::size_t g0[2] = {0, 2};
+  const std::size_t g1[2] = {1, 3};
+  certified.add_flow(0, g0, 2);
+  certified.add_flow(1, g1, 2);
+  SolveCounters cert_counters;
+  certified.solve(rates, delta, &cert_counters);
+  certified.remove_flow(0);
+  certified.solve(rates, delta, &cert_counters);
+  EXPECT_TRUE(delta.changed_slots.empty());  // source 1 untouched
+  const std::size_t moved[2] = {1, 2};
+  certified.add_flow(0, moved, 2);
+  certified.solve(rates, delta, &cert_counters);
+  std::vector<std::uint32_t> changed = delta.changed_slots;
+  std::sort(changed.begin(), changed.end());
+  EXPECT_EQ(changed, (std::vector<std::uint32_t>{0, 1}));  // sigma_1 halved
+  const std::vector<double> cert_ref =
+      MaxMinFairRates({{1, 2}, {1, 3}}, capacity);
+  EXPECT_EQ(rates[0], cert_ref[0]);
+  EXPECT_EQ(rates[1], cert_ref[1]);
+  EXPECT_EQ(cert_counters.components_dirty, 0u);
+  EXPECT_EQ(oracle::AuditCertificates(certified, &rates), "");
 }
 
-// A kMaxLinksPerFlow-degree flow landing across three separate components
-// must merge all three: two ids retire by the merge, the third by the
-// rebuild, and a single fresh component covers every affected slot.
-TEST(MaxMinFairSolver, MaxDegreeFlowMergesThreeComponents) {
+// A kMaxLinksPerFlow-degree flow bridging three otherwise disjoint flows:
+// without a layout the fallback re-solves and rewrites every flow; in the
+// Network layout the bridge (source, downlink, core) is certified and only
+// its own source's flows are rewritten.
+TEST(MaxMinFairSolver, MaxDegreeFlowBitIdenticalOnBothPaths) {
   static_assert(MaxMinFairSolver::kMaxLinksPerFlow == 3);
   const std::vector<double> capacity = {10.0, 20.0, 30.0, 40.0, 50.0, 60.0};
   MaxMinFairSolver solver;
@@ -358,33 +412,199 @@ TEST(MaxMinFairSolver, MaxDegreeFlowMergesThreeComponents) {
   SolveCounters counters;
   SolveDelta delta;
   solver.solve(rates, delta, &counters);
-  EXPECT_EQ(solver.live_component_count(), 3u);
-  EXPECT_EQ(delta.fresh_components.size(), 3u);
+  EXPECT_EQ(delta.changed_slots.size(), 3u);
 
-  const std::size_t bridge[3] = {1, 3, 5};  // one link from each component
+  const std::size_t bridge[3] = {1, 3, 5};  // one link from each flow
   solver.add_flow(3, bridge, 3);
   const SolveCounters before = counters;
   solver.solve(rates, delta, &counters);
-  EXPECT_EQ(solver.live_component_count(), 1u);
-  // Two components merged away + the merge target rebuilt = 3 retirements,
-  // one fresh component containing every flow.
-  EXPECT_EQ(delta.retired_components.size(), 3u);
-  ASSERT_EQ(delta.fresh_components.size(), 1u);
   EXPECT_EQ(delta.changed_slots.size(), 4u);
   EXPECT_EQ(counters.components_dirty - before.components_dirty, 1u);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(solver.component_of_slot(s), delta.fresh_components[0]);
-  }
 
   const std::vector<double> ref = MaxMinFairRates(
       {{0, 1}, {2, 3}, {4, 5}, {1, 3, 5}}, capacity);
   for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(rates[s], ref[s]);
+
+  // Three nodes: uplinks 0-2, downlinks 3-5, core 6.
+  const std::vector<double> layout = {10.0, 20.0, 30.0, 40.0,
+                                      50.0, 60.0, 100.0};
+  MaxMinFairSolver certified;
+  certified.reset_links(layout, /*num_sources=*/3);
+  const std::size_t g0[3] = {0, 4, 6};
+  const std::size_t g1[3] = {1, 5, 6};
+  const std::size_t g2[3] = {2, 3, 6};
+  certified.add_flow(0, g0, 3);
+  certified.add_flow(1, g1, 3);
+  certified.add_flow(2, g2, 3);
+  SolveCounters cert_counters;
+  certified.solve(rates, delta, &cert_counters);
+  const std::size_t g3[3] = {0, 5, 6};
+  certified.add_flow(3, g3, 3);
+  certified.solve(rates, delta, &cert_counters);
+  std::vector<std::uint32_t> changed = delta.changed_slots;
+  std::sort(changed.begin(), changed.end());
+  EXPECT_EQ(changed, (std::vector<std::uint32_t>{0, 3}));  // source 0 only
+  const std::vector<double> cert_ref = MaxMinFairRates(
+      {{0, 4, 6}, {1, 5, 6}, {2, 3, 6}, {0, 5, 6}}, layout);
+  for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(rates[s], cert_ref[s]);
+  EXPECT_EQ(cert_counters.components_dirty, 0u);
+  EXPECT_EQ(oracle::AuditCertificates(certified, &rates), "");
 }
 
-// Restore-then-churn on the partition: a solver restored from a snapshot
-// rebuilds its partition from the incidence lists, and further churn on the
-// restored instance must stay bitwise identical to the original instance
-// seeing the same churn.
+// Progressive filling pops a source before a link whose share merely
+// equals that source's sigma (sources carry the lower indices), so an
+// exact tie certifies.
+TEST(MaxMinFairSolver, TieBetweenLinkShareAndSourceShareCertifies) {
+  // Node 0's uplink (100) carries two flows into node 1's downlink (100):
+  // sigma_0 = 50 and the downlink's share 100 / 2 = 50.
+  const std::vector<double> capacity = {100.0, 100.0, 400.0, 100.0};
+  MaxMinFairSolver solver;
+  solver.reset_links(capacity, /*num_sources=*/2);
+  const std::size_t links[2] = {0, 3};
+  solver.add_flow(0, links, 2);
+  solver.add_flow(1, links, 2);
+  std::vector<double> rates;
+  SolveDelta delta;
+  SolveCounters counters;
+  solver.solve(rates, delta, &counters);
+  const std::vector<double> ref = MaxMinFairRates({{0, 3}, {0, 3}}, capacity);
+  EXPECT_EQ(rates[0], ref[0]);
+  EXPECT_EQ(rates[1], ref[1]);
+  EXPECT_EQ(rates[0], 50.0);
+  EXPECT_EQ(counters.components_dirty, 0u);
+  std::size_t ties = 0;
+  EXPECT_EQ(oracle::AuditCertificates(solver, &rates, &ties), "");
+  EXPECT_EQ(ties, 1u);
+}
+
+// Churn in the Network's link layout: sources in [0, N), sinks in [N, 2N),
+// an optional core at 2N.  Capacities come from small sets of round numbers
+// (zero included) so that exact ties between a link's share and a source
+// share occur, several flows run from one source into one sink, and
+// downlinks or the core bottleneck in some solves — certified and fallback
+// solves both happen, and so do fallback -> certified transitions.  After
+// every solve: rates bitwise equal to the seed oracle, the maintained
+// shares and certificates equal to a from-scratch recomputation, and the
+// delta covering every changed rate.  Snapshots taken right after a
+// fallback are restored into a fresh solver that carries on in its place.
+TEST(MaxMinFairSolver, CertifiedAndFallbackMatchOracleUnderLayoutChurn) {
+  std::size_t certified_solves = 0;
+  std::size_t fallback_solves = 0;
+  std::size_t recoveries = 0;  // certified solves right after a fallback
+  std::size_t restores = 0;
+  std::size_t ties = 0;
+  std::size_t shared_pairs = 0;  // batches with two flows on one (src, dst)
+  const double kUplink[] = {0.0, 100.0, 100.0, 200.0, 200.0, 300.0};
+  const double kDownlink[] = {0.0, 50.0, 100.0, 200.0, 400.0, 800.0, 800.0};
+  const double kCore[] = {150.0, 400.0, 1000.0, 4000.0};
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 15485863);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 6));
+    const bool has_core = rng.uniform(0.0, 1.0) < 0.4;
+    std::vector<double> capacity(2 * n + (has_core ? 1 : 0));
+    for (std::size_t i = 0; i < n; ++i) {
+      capacity[i] = kUplink[rng.index(std::size(kUplink))];
+      capacity[n + i] = kDownlink[rng.index(std::size(kDownlink))];
+    }
+    if (has_core) capacity[2 * n] = kCore[rng.index(std::size(kCore))];
+
+    auto solver = std::make_unique<MaxMinFairSolver>();
+    solver->reset_links(capacity, n);
+    struct LiveFlow {
+      std::size_t slot;
+      std::vector<std::size_t> links;
+    };
+    std::vector<LiveFlow> live;
+    std::vector<std::size_t> free_slots;
+    std::size_t next_slot = 0;
+    std::vector<double> rates;
+    SolveDelta delta;
+    bool last_fallback = false;
+
+    const int batches = rng.uniform_int(10, 25);
+    for (int batch = 0; batch < batches; ++batch) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " batch " +
+                   std::to_string(batch));
+      for (std::size_t i = live.size(); i-- > 0;) {
+        if (rng.uniform(0.0, 1.0) < 0.3) {
+          solver->remove_flow(live[i].slot);
+          free_slots.push_back(live[i].slot);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+      }
+      const int adds = rng.uniform_int(1, 6);
+      for (int a = 0; a < adds; ++a) {
+        std::size_t slot;
+        if (!free_slots.empty()) {
+          slot = free_slots.back();
+          free_slots.pop_back();
+        } else {
+          slot = next_slot++;
+        }
+        const std::size_t src = rng.index(n);
+        std::size_t dst = rng.index(n);
+        if (dst == src) dst = (dst + 1) % n;
+        std::vector<std::size_t> links = {src, n + dst};
+        if (has_core) links.push_back(2 * n);
+        solver->add_flow(slot, links.data(), links.size());
+        live.push_back({slot, links});
+      }
+
+      const std::vector<double> before = rates;
+      SolveCounters counters;
+      solver->solve(rates, delta, &counters);
+      const bool fallback = counters.components_dirty == 1;
+      if (fallback) {
+        ++fallback_solves;
+      } else {
+        ++certified_solves;
+        if (last_fallback) ++recoveries;
+      }
+      last_fallback = fallback;
+
+      ASSERT_EQ(oracle::AuditCertificates(*solver, &rates, &ties), "");
+      ASSERT_EQ(oracle::AuditDelta(before, rates, delta), "");
+      std::vector<std::vector<std::size_t>> ref_links;
+      for (const auto& f : live) ref_links.push_back(f.links);
+      const std::vector<double> ref = MaxMinFairRates(ref_links, capacity);
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        ASSERT_EQ(rates[live[i].slot], ref[i]) << "flow " << i;
+      }
+      const auto shares_a_pair = [&live] {
+        for (std::size_t i = 0; i < live.size(); ++i) {
+          for (std::size_t j = i + 1; j < live.size(); ++j) {
+            if (live[i].links == live[j].links) return true;
+          }
+        }
+        return false;
+      };
+      if (shares_a_pair()) ++shared_pairs;
+
+      if (fallback && rng.uniform(0.0, 1.0) < 0.5) {
+        snap::SnapshotWriter w;
+        solver->SaveTo(w);
+        snap::SnapshotReader r(w.finish(/*config_hash=*/0, /*sim_time=*/0.0));
+        auto restored = std::make_unique<MaxMinFairSolver>();
+        restored->reset_links(capacity, n);
+        restored->RestoreFrom(r);
+        ASSERT_EQ(oracle::AuditCertificates(*restored, &rates), "");
+        solver = std::move(restored);
+        ++restores;
+      }
+    }
+  }
+  EXPECT_GT(certified_solves, 0u);
+  EXPECT_GT(fallback_solves, 0u);
+  EXPECT_GT(recoveries, 0u);
+  EXPECT_GT(restores, 0u);
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(shared_pairs, 0u);
+}
+
+// Restore-then-churn: a solver restored from a snapshot rebuilds its
+// derived state from the incidence lists, and further churn on the restored
+// instance must stay bitwise identical to the original instance seeing the
+// same churn, rewriting the same slots.
 TEST(MaxMinFairSolver, RestoreThenChurnMatchesOriginal) {
   Rng rng(424242);
   const std::size_t num_links = 10;
@@ -423,7 +643,6 @@ TEST(MaxMinFairSolver, RestoreThenChurnMatchesOriginal) {
   std::vector<double> rest_rates = orig_rates;
 
   EXPECT_EQ(restored.flow_count(), original.flow_count());
-  EXPECT_EQ(restored.live_component_count(), original.live_component_count());
 
   // Identical churn on both instances: remove some, add some, re-solve.
   SolveDelta rest_delta;
@@ -452,9 +671,12 @@ TEST(MaxMinFairSolver, RestoreThenChurnMatchesOriginal) {
     }
     original.solve(orig_rates, delta, &counters);
     restored.solve(rest_rates, rest_delta, &counters);
-    EXPECT_EQ(restored.live_component_count(),
-              original.live_component_count())
-        << "batch " << batch;
+    // Same slots rewritten; their order follows the rebuilt live list.
+    std::vector<std::uint32_t> orig_changed = delta.changed_slots;
+    std::vector<std::uint32_t> rest_changed = rest_delta.changed_slots;
+    std::sort(orig_changed.begin(), orig_changed.end());
+    std::sort(rest_changed.begin(), rest_changed.end());
+    EXPECT_EQ(rest_changed, orig_changed) << "batch " << batch;
     for (std::size_t slot = 0; slot < live_links.size(); ++slot) {
       if (live_links[slot].empty()) continue;
       EXPECT_EQ(rest_rates[slot], orig_rates[slot])
@@ -501,8 +723,11 @@ std::uint64_t ScenarioDigest(const ScenarioResult& r, bool with_events) {
 }
 
 /// Replays one randomized churn scenario (same-timestamp bursts, staggered
-/// starts, scheduled cancels, completion-driven restarts).
-ScenarioResult RunScenario(std::uint64_t seed) {
+/// starts, scheduled cancels, completion-driven restarts).  `after_event`,
+/// if set, observes the network after every event's rate flush.
+ScenarioResult RunScenario(
+    std::uint64_t seed,
+    const std::function<void(const Network&)>& after_event = nullptr) {
   Rng rng(seed);
   const std::size_t nodes = static_cast<std::size_t>(rng.uniform_int(4, 12));
   NetworkConfig config;
@@ -515,6 +740,7 @@ ScenarioResult RunScenario(std::uint64_t seed) {
 
   sim::Simulator sim;
   Network net(sim, config);
+  if (after_event) sim.add_post_event_hook([&] { after_event(net); });
   ScenarioResult out;
   std::vector<FlowId> started;
 
@@ -696,7 +922,7 @@ constexpr std::uint64_t kGlobalSolveScenarioGolden[] = {
     0xa6e16d74a9370ea6ULL,  // seed 48
 };
 
-// Partitioned vs. one global solve under identical batching: the entire
+// Production vs. one global solve under identical batching: the entire
 // event stream must match, so this comparison includes the processed-event
 // count on top of the usual figures.
 TEST(NetworkEquivalence, PartitionToggleInvariantAcrossSeeds) {
@@ -705,6 +931,31 @@ TEST(NetworkEquivalence, PartitionToggleInvariantAcrossSeeds) {
               kGlobalSolveScenarioGolden[seed - 1])
         << "seed " << seed;
   }
+}
+
+// The certified state audited after every event of the churn scenarios
+// (random capacities, some with a core): the maintained source shares and
+// certificates always equal a from-scratch recomputation, and the audit
+// leaves every scenario on its golden digest.
+TEST(NetworkEquivalence, CertifiedStateAuditedAfterEveryEvent) {
+  std::uint64_t solves = 0;
+  std::uint64_t fallbacks = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    NetStats last;
+    const ScenarioResult result = RunScenario(seed, [&](const Network& net) {
+      ASSERT_EQ(oracle::AuditCertificates(net.solver()), "")
+          << "seed " << seed << " flows " << net.active_flow_count();
+      last = net.stats();
+    });
+    EXPECT_EQ(ScenarioDigest(result, /*with_events=*/true),
+              kGlobalSolveScenarioGolden[seed - 1])
+        << "seed " << seed;
+    EXPECT_EQ(last.components_total, last.recomputes_run);
+    solves += last.components_total;
+    fallbacks += last.components_dirty;
+  }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(solves, fallbacks);
 }
 
 // Batching must actually batch: strictly fewer solves run than were
@@ -860,10 +1111,10 @@ constexpr GlobalSolveGolden kGlobalSolveGolden[] = {
     {5020, ManagerKind::kPool, 0x7ccca3d7e92e877cULL, 401, 196, 1537},
 };
 
-// The acceptance sweep for the component partition: 20 seeds x all four
-// managers, exact compare on every reported figure INCLUDING
-// events_processed (same batching + same completion times => the
-// simulators walk identical event sequences).
+// The acceptance sweep for the certified solver against one global solve
+// per batched recompute: 20 seeds x all four managers, exact compare on
+// every reported figure INCLUDING events_processed (same batching + same
+// completion times => the simulators walk identical event sequences).
 TEST(NetworkEquivalence, PartitionToggleInvariantAcrossManagersAndSeeds) {
   namespace wl = custody::workload;
   const ManagerKind kManagers[] = {ManagerKind::kStandalone,
@@ -894,9 +1145,9 @@ TEST(NetworkEquivalence, PartitionToggleInvariantAcrossManagersAndSeeds) {
       EXPECT_EQ(part.net_stats.recomputes_requested,
                 golden.recomputes_requested);
       EXPECT_EQ(part.net_stats.recomputes_run, golden.recomputes_run);
-      // The partition must actually report work, and must rewrite no more
-      // rates than the full-rewrite global solve did.
-      EXPECT_GT(part.net_stats.components_total, 0u);
+      // Every batched recompute is one counted solve, and the certified
+      // solver rewrites no more rates than the full-rewrite global solve.
+      EXPECT_EQ(part.net_stats.components_total, part.net_stats.recomputes_run);
       EXPECT_LE(part.net_stats.rates_changed, golden.rates_changed);
     }
   }

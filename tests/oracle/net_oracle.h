@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "net/maxmin.h"
@@ -18,5 +19,25 @@ std::vector<double> MaxMinFairRates(
     const std::vector<std::vector<std::size_t>>& flow_links,
     const std::vector<double>& capacity,
     net::SolveCounters* counters = nullptr);
+
+/// From-scratch audit of the solver's certified state after a solve.
+/// Rebuilds every flow's links from the incidence lists alone, recomputes
+/// each source share c_u / n_u and each non-source link's certificate
+/// verdict, and compares them with the maintained ones (there are none to
+/// check while some flow misfits the layout).  When every certificate
+/// holds, also demands that each flow's `rates` entry (if given) is its
+/// source's share.  `ties` (optional)
+/// counts passing source groups whose link share equalled sigma exactly.
+/// Returns "" when consistent, else the first disagreement.
+std::string AuditCertificates(const net::MaxMinFairSolver& solver,
+                              const std::vector<double>* rates = nullptr,
+                              std::size_t* ties = nullptr);
+
+/// Every slot whose rate differs between `before` and `after` (bitwise;
+/// slots past `before` count as 0, solve()'s fill value) must be listed in
+/// `delta`.  Returns "" or the first unreported slot.
+std::string AuditDelta(const std::vector<double>& before,
+                       const std::vector<double>& after,
+                       const net::SolveDelta& delta);
 
 }  // namespace custody::oracle
