@@ -247,7 +247,7 @@ void BM_NetworkShuffleFanOut(benchmark::State& state) {
     sim.run();
     if (completed != bursts * fan_in) state.SkipWithError("flows lost");
     recomputes_run = network.stats().recomputes_run;
-    batched = network.stats().recomputes_batched();
+    batched = network.stats().recomputes_batched;
     links_scanned = network.stats().links_scanned;
   }
   state.SetItemsProcessed(state.iterations() *

@@ -88,15 +88,7 @@ void CustodyManager::reallocate_now() {
     // event sequences match a run that computed the empty round.
     ++stats_.allocation_rounds;
     ++stats_.rounds_skipped;
-    stats_.last_round_wall_seconds = 0.0;
-    if (round_observer_) {
-      AllocationRoundInfo info;
-      info.when = sim_.now();
-      info.idle_executors = idle_count;
-      info.apps = apps_.size();
-      info.skipped = true;
-      round_observer_(info);
-    }
+    if (round_observer_) round_observer_({0.0, idle_count, 0});
     return;
   }
 
@@ -124,18 +116,13 @@ void CustodyManager::reallocate_now() {
   // nothing — fruitless rounds are exactly the overhead worth watching.
   ++stats_.allocation_rounds;
   stats_.allocation_wall_seconds += wall;
-  stats_.last_round_wall_seconds = wall;
   stats_.executors_scanned += result.stats.executors_scanned;
   stats_.apps_considered += result.stats.apps_considered;
   stats_.demand_apps += result.stats.demand_apps;
   stats_.demanded_tasks += result.stats.demanded_tasks;
   stats_.demands_saturated += result.stats.demands_saturated;
   if (round_observer_) {
-    round_observer_({sim_.now(), wall, idle_count,
-                     result.assignments.size(), apps_.size(),
-                     result.stats.executors_scanned,
-                     result.stats.demand_apps, result.stats.demanded_tasks,
-                     /*skipped=*/false});
+    round_observer_({wall, idle_count, result.assignments.size()});
   }
 
   for (const core::Assignment& assignment : result.assignments) {

@@ -14,7 +14,6 @@ void ClusterManager::SaveTo(snap::SnapshotWriter& w) const {
   w.u64(stats_.offers_made);
   w.u64(stats_.offers_rejected);
   w.f64(stats_.allocation_wall_seconds);
-  w.f64(stats_.last_round_wall_seconds);
   w.u64(stats_.executors_scanned);
   w.u64(stats_.apps_considered);
   w.u64(stats_.rounds_skipped);
@@ -30,7 +29,6 @@ void ClusterManager::RestoreFrom(snap::SnapshotReader& r) {
   stats_.offers_made = r.u64();
   stats_.offers_rejected = r.u64();
   stats_.allocation_wall_seconds = r.f64();
-  stats_.last_round_wall_seconds = r.f64();
   stats_.executors_scanned = r.u64();
   stats_.apps_considered = r.u64();
   stats_.rounds_skipped = r.u64();

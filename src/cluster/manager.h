@@ -73,7 +73,6 @@ struct ManagerStats {
   std::uint64_t offers_rejected = 0;
   // Allocation-round cost (wall-clock, not simulated time; Custody only).
   double allocation_wall_seconds = 0.0;    ///< cumulative across rounds
-  double last_round_wall_seconds = 0.0;
   std::uint64_t executors_scanned = 0;     ///< candidates enumerated, total
   std::uint64_t apps_considered = 0;       ///< inter-app picks, total
   /// Rounds the incremental trigger short-circuited because no app sat
@@ -85,20 +84,14 @@ struct ManagerStats {
   std::uint64_t demands_saturated = 0; ///< demands fully served by a round
 };
 
-/// One allocation round's cost, pushed to the observer as it completes so
-/// experiment harnesses can feed metrics without the manager linking them.
+/// One allocation round as it completes, pushed to the observer so
+/// experiment harnesses can feed metrics and traces without the manager
+/// linking them.  The round's work counters accumulate in ManagerStats.
 struct AllocationRoundInfo {
-  SimTime when = 0.0;            ///< simulated instant of the round
-  double wall_seconds = 0.0;     ///< real time spent inside Allocate
+  /// Real time spent inside Allocate; 0 for a round the trigger skipped.
+  double wall_seconds = 0.0;
   std::size_t idle_executors = 0;
   std::size_t grants = 0;
-  std::size_t apps = 0;
-  std::uint64_t executors_scanned = 0;
-  // Round input sizes (zero on skipped rounds — demands are not built).
-  std::uint64_t demand_apps = 0;       ///< apps with >=1 unsatisfied task
-  std::uint64_t demanded_tasks = 0;    ///< total unsatisfied input tasks
-  /// True when the incremental trigger short-circuited the round.
-  bool skipped = false;
 };
 
 class ClusterManager {

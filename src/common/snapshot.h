@@ -47,7 +47,10 @@ class SnapshotError : public std::runtime_error {
 
 inline constexpr std::uint32_t kMagic = 0x50'4E'53'43;  // "CSNP" little-endian
 // v3: SubmissionStream serializes its what-if arrival-rate scale.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// v4: the metrics section keeps only round wall times (no per-round
+// records, round totals or network-stats copy); the manager section drops
+// the last round's wall time.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Append-only binary encoder.  Sections group one layer's fields behind a
 /// 4-char tag and a byte length so the reader can hard-verify framing.

@@ -8,7 +8,7 @@
 namespace custody::metrics {
 
 void MetricsCollector::enable_streaming() {
-  if (!tasks_.empty() || !jobs_.empty() || !rounds_.empty()) {
+  if (!tasks_.empty() || !jobs_.empty() || !round_walls_.empty()) {
     throw std::logic_error(
         "MetricsCollector: enable_streaming after records were collected");
   }
@@ -49,18 +49,15 @@ void MetricsCollector::record_job(const JobRecord& record) {
   jobs_.push_back(record);
 }
 
-void MetricsCollector::record_round(const AllocationRoundRecord& record) {
+void MetricsCollector::record_round(double wall_seconds,
+                                    std::uint64_t grants) {
   ++rounds_recorded_;
-  if (record.grants > 0) ++productive_rounds_;
-  if (record.skipped) ++rounds_skipped_total_;
-  executors_scanned_total_ += record.executors_scanned;
-  grants_total_ += record.grants;
-  demanded_tasks_total_ += record.demanded_tasks;
+  if (grants > 0) ++productive_rounds_;
   if (streaming_) {
-    round_wall_stream_.add(record.wall_seconds);
+    round_wall_stream_.add(wall_seconds);
     return;
   }
-  rounds_.push_back(record);
+  round_walls_.push_back(wall_seconds);
 }
 
 Summary MetricsCollector::job_locality_summary() const {
@@ -85,7 +82,7 @@ Summary MetricsCollector::sched_delay_summary() const {
 
 Summary MetricsCollector::round_wall_summary() const {
   if (streaming_) return round_wall_stream_.summarize();
-  return Summarize(round_wall_times());
+  return Summarize(round_walls_);
 }
 
 std::vector<double> MetricsCollector::per_job_locality_percent() const {
@@ -144,22 +141,6 @@ std::vector<double> MetricsCollector::per_app_local_job_fraction(
   return out;
 }
 
-std::vector<double> MetricsCollector::round_wall_times() const {
-  std::vector<double> out;
-  out.reserve(rounds_.size());
-  for (const AllocationRoundRecord& r : rounds_) out.push_back(r.wall_seconds);
-  return out;
-}
-
-std::vector<double> MetricsCollector::round_grant_counts() const {
-  std::vector<double> out;
-  out.reserve(rounds_.size());
-  for (const AllocationRoundRecord& r : rounds_) {
-    out.push_back(static_cast<double>(r.grants));
-  }
-  return out;
-}
-
 double MetricsCollector::round_yield_fraction() const {
   return rounds_recorded_ == 0
              ? 0.0
@@ -192,18 +173,8 @@ void MetricsCollector::SaveTo(snap::SnapshotWriter& w) const {
     w.i64(j.input_tasks);
     w.i64(j.local_input_tasks);
   }
-  w.size(rounds_.size());
-  for (const AllocationRoundRecord& r : rounds_) {
-    w.f64(r.when);
-    w.f64(r.wall_seconds);
-    w.u64(r.idle_executors);
-    w.u64(r.grants);
-    w.u64(r.apps_active);
-    w.u64(r.executors_scanned);
-    w.u64(r.demand_apps);
-    w.u64(r.demanded_tasks);
-    w.b(r.skipped);
-  }
+  w.size(round_walls_.size());
+  for (double v : round_walls_) w.f64(v);
 
   locality_stream_.SaveTo(w);
   jct_stream_.SaveTo(w);
@@ -218,26 +189,10 @@ void MetricsCollector::SaveTo(snap::SnapshotWriter& w) const {
   w.u64(input_tasks_local_);
   w.u64(rounds_recorded_);
   w.u64(productive_rounds_);
-  w.u64(executors_scanned_total_);
-  w.u64(grants_total_);
-  w.u64(rounds_skipped_total_);
-  w.u64(demanded_tasks_total_);
   w.size(app_local_jobs_.size());
   for (std::uint64_t v : app_local_jobs_) w.u64(v);
   w.size(app_total_jobs_.size());
   for (std::uint64_t v : app_total_jobs_) w.u64(v);
-
-  w.u64(network_.recomputes_requested);
-  w.u64(network_.recomputes_run);
-  w.u64(network_.recomputes_batched);
-  w.u64(network_.flows_scanned);
-  w.u64(network_.links_scanned);
-  w.u64(network_.rounds);
-  w.u64(network_.components_total);
-  w.u64(network_.components_dirty);
-  w.u64(network_.rates_changed);
-  w.u64(network_.completion_rescans);
-  w.f64(network_.wall_seconds);
 }
 
 void MetricsCollector::RestoreFrom(snap::SnapshotReader& r) {
@@ -274,19 +229,8 @@ void MetricsCollector::RestoreFrom(snap::SnapshotReader& r) {
     j.input_tasks = static_cast<int>(r.i64());
     j.local_input_tasks = static_cast<int>(r.i64());
   }
-  rounds_.clear();
-  rounds_.resize(r.size());
-  for (AllocationRoundRecord& rec : rounds_) {
-    rec.when = r.f64();
-    rec.wall_seconds = r.f64();
-    rec.idle_executors = r.u64();
-    rec.grants = r.u64();
-    rec.apps_active = r.u64();
-    rec.executors_scanned = r.u64();
-    rec.demand_apps = r.u64();
-    rec.demanded_tasks = r.u64();
-    rec.skipped = r.b();
-  }
+  round_walls_.assign(r.size(), 0.0);
+  for (double& v : round_walls_) v = r.f64();
 
   locality_stream_.RestoreFrom(r);
   jct_stream_.RestoreFrom(r);
@@ -301,26 +245,10 @@ void MetricsCollector::RestoreFrom(snap::SnapshotReader& r) {
   input_tasks_local_ = r.u64();
   rounds_recorded_ = r.u64();
   productive_rounds_ = r.u64();
-  executors_scanned_total_ = r.u64();
-  grants_total_ = r.u64();
-  rounds_skipped_total_ = r.u64();
-  demanded_tasks_total_ = r.u64();
   app_local_jobs_.assign(r.size(), 0);
   for (std::uint64_t& v : app_local_jobs_) v = r.u64();
   app_total_jobs_.assign(r.size(), 0);
   for (std::uint64_t& v : app_total_jobs_) v = r.u64();
-
-  network_.recomputes_requested = r.u64();
-  network_.recomputes_run = r.u64();
-  network_.recomputes_batched = r.u64();
-  network_.flows_scanned = r.u64();
-  network_.links_scanned = r.u64();
-  network_.rounds = r.u64();
-  network_.components_total = r.u64();
-  network_.components_dirty = r.u64();
-  network_.rates_changed = r.u64();
-  network_.completion_rescans = r.u64();
-  network_.wall_seconds = r.f64();
 }
 
 }  // namespace custody::metrics

@@ -47,54 +47,6 @@ struct TaskRecord {
   [[nodiscard]] SimTime duration() const { return finish_time - launch_time; }
 };
 
-/// One manager allocation round: when it ran (simulated), what it cost
-/// (wall-clock) and what it did.  Mirrors cluster::AllocationRoundInfo so
-/// the metrics layer stays free of cluster dependencies; the experiment
-/// runner bridges the two.
-struct AllocationRoundRecord {
-  SimTime when = 0.0;
-  double wall_seconds = 0.0;
-  // 64-bit like every other long-run counter: a steady-state run records
-  // millions of rounds and the totals derived from these must not wrap.
-  std::uint64_t idle_executors = 0;
-  std::uint64_t grants = 0;
-  std::uint64_t apps_active = 0;
-  std::uint64_t executors_scanned = 0;
-  // --- round input sizes (what the round was asked to do) -----------------
-  std::uint64_t demand_apps = 0;     ///< apps with >=1 unsatisfied task
-  std::uint64_t demanded_tasks = 0;  ///< total unsatisfied tasks across apps
-  /// Short-circuited by the demand-driven trigger: no app could accept a
-  /// grant, so the allocator never ran (wall_seconds and grants are 0).
-  bool skipped = false;
-};
-
-/// What the fluid network's rate path cost over a whole run: recomputes
-/// executed vs. batched away by same-timestamp coalescing, and the scan
-/// counters that show the per-event work is sub-linear.  Mirrors
-/// net::NetStats so the metrics layer stays free of network dependencies;
-/// the experiment runner bridges the two (exactly like the allocation
-/// round records above).
-struct NetworkStatsRecord {
-  std::uint64_t recomputes_requested = 0;
-  std::uint64_t recomputes_run = 0;
-  std::uint64_t recomputes_batched = 0;
-  /// Rate rewrites + certificate entries + fallback visits.
-  std::uint64_t flows_scanned = 0;
-  /// Certificates evaluated + fallback heap operations.
-  std::uint64_t links_scanned = 0;
-  /// Fallback bottleneck rounds.
-  std::uint64_t rounds = 0;
-  /// Solves run.
-  std::uint64_t components_total = 0;
-  /// Solves that took the progressive-filling fallback.
-  std::uint64_t components_dirty = 0;
-  /// Flow rates rewritten by solves.
-  std::uint64_t rates_changed = 0;
-  /// Completion re-arms, each a scan of every live flow.
-  std::uint64_t completion_rescans = 0;
-  double wall_seconds = 0.0;
-};
-
 struct JobRecord {
   AppId app;
   JobId job;
@@ -136,18 +88,13 @@ class MetricsCollector {
 
   void record_task(const TaskRecord& record);
   void record_job(const JobRecord& record);
-  void record_round(const AllocationRoundRecord& record);
-  void record_network(const NetworkStatsRecord& record) { network_ = record; }
+  /// One manager allocation round: its wall-clock cost and the executors
+  /// it granted.  The round's work counters live in cluster::ManagerStats.
+  void record_round(double wall_seconds, std::uint64_t grants);
 
   // --- raw records (exact mode only; empty while streaming) --------------
   [[nodiscard]] const std::vector<TaskRecord>& tasks() const { return tasks_; }
   [[nodiscard]] const std::vector<JobRecord>& jobs() const { return jobs_; }
-  [[nodiscard]] const std::vector<AllocationRoundRecord>& rounds() const {
-    return rounds_;
-  }
-  [[nodiscard]] const NetworkStatsRecord& network_stats() const {
-    return network_;
-  }
 
   // --- figure-level summaries (both modes) -------------------------------
   /// Fig. 7: distribution over jobs of % local input tasks.  Exact mode
@@ -160,7 +107,7 @@ class MetricsCollector {
   [[nodiscard]] Summary input_stage_summary() const;
   /// Fig. 10: scheduler delay of input tasks.
   [[nodiscard]] Summary sched_delay_summary() const;
-  /// Wall-clock cost per allocation round.
+  /// Wall-clock cost per allocation round; count is the rounds recorded.
   [[nodiscard]] Summary round_wall_summary() const;
 
   /// Fraction of all input tasks that were local, in percent.
@@ -187,27 +134,8 @@ class MetricsCollector {
   /// Fig. 10 samples: one per *input task* — scheduler delay.
   [[nodiscard]] std::vector<double> input_scheduler_delays() const;
 
-  // --- allocation-round instrumentation (both modes) ---------------------
-  /// Wall-clock seconds per allocation round (exact mode samples).
-  [[nodiscard]] std::vector<double> round_wall_times() const;
-  /// Executors granted per round (exact mode samples).
-  [[nodiscard]] std::vector<double> round_grant_counts() const;
-  /// Total pool slots inspected across all recorded rounds.
-  [[nodiscard]] std::uint64_t total_executors_scanned() const {
-    return executors_scanned_total_;
-  }
-  /// Total executors granted across all recorded rounds.
-  [[nodiscard]] std::uint64_t total_grants() const { return grants_total_; }
-  /// Fraction of rounds that granted at least one executor.
+  /// Fraction of recorded rounds that granted at least one executor.
   [[nodiscard]] double round_yield_fraction() const;
-  /// Rounds short-circuited by the demand-driven trigger.
-  [[nodiscard]] std::uint64_t total_rounds_skipped() const {
-    return rounds_skipped_total_;
-  }
-  /// Total unsatisfied tasks handed to the allocator across all rounds.
-  [[nodiscard]] std::uint64_t total_demanded_tasks() const {
-    return demanded_tasks_total_;
-  }
 
   /// Serialize every aggregate — exact-mode record vectors, streaming
   /// banks, and the running counters — so a restored run's summaries are
@@ -223,7 +151,7 @@ class MetricsCollector {
   // Exact-mode storage.
   std::vector<TaskRecord> tasks_;
   std::vector<JobRecord> jobs_;
-  std::vector<AllocationRoundRecord> rounds_;
+  std::vector<double> round_walls_;
 
   // Streaming-mode aggregates.
   StreamingSummary locality_stream_;
@@ -241,15 +169,9 @@ class MetricsCollector {
   std::uint64_t input_tasks_local_ = 0;
   std::uint64_t rounds_recorded_ = 0;
   std::uint64_t productive_rounds_ = 0;
-  std::uint64_t executors_scanned_total_ = 0;
-  std::uint64_t grants_total_ = 0;
-  std::uint64_t rounds_skipped_total_ = 0;
-  std::uint64_t demanded_tasks_total_ = 0;
   /// Per-app [perfectly local, total] job counts, grown on demand.
   std::vector<std::uint64_t> app_local_jobs_;
   std::vector<std::uint64_t> app_total_jobs_;
-
-  NetworkStatsRecord network_;
 };
 
 }  // namespace custody::metrics

@@ -175,7 +175,9 @@ void Network::advance_progress() {
 }
 
 void Network::request_recompute() {
+  // A request counts as batched until a solve runs for it.
   ++stats_.recomputes_requested;
+  ++stats_.recomputes_batched;
   dirty_ = true;  // flushed by the post-event hook or a rate observation
 }
 
@@ -187,10 +189,10 @@ void Network::flush() {
 
 void Network::recompute() {
   ++stats_.recomputes_run;
+  --stats_.recomputes_batched;
   const auto wall_start = std::chrono::steady_clock::now();
-  SolveCounters counters;
   // Only the delta's slots were rewritten; every other rate is unchanged.
-  solver_.solve(rates_scratch_, delta_, &counters);
+  solver_.solve(rates_scratch_, delta_, &stats_);
   for (const std::uint32_t s : delta_.changed_slots) {
     slots_[s].rate = rates_scratch_[s];
   }
@@ -200,11 +202,6 @@ void Network::recompute() {
   const std::size_t changed =
       delta_.changed_slots.size() + delta_.unconstrained_slots.size();
   stats_.rates_changed += changed;
-  stats_.components_total += counters.components_total;
-  stats_.components_dirty += counters.components_dirty;
-  stats_.flows_scanned += counters.flows_scanned;
-  stats_.links_scanned += counters.links_scanned;
-  stats_.rounds += counters.rounds;
   const double solve_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -364,6 +361,8 @@ void Network::RestoreFrom(snap::SnapshotReader& r,
   stats_.rates_changed = r.u64();
   stats_.completion_rescans = r.u64();
   stats_.wall_seconds = r.f64();
+  stats_.recomputes_batched =
+      stats_.recomputes_requested - stats_.recomputes_run;
   dirty_ = false;
   const bool pending = r.b();
   completion_event_ = sim::EventHandle();

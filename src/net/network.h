@@ -50,36 +50,24 @@ struct NetworkConfig {
 };
 
 /// What the rate path cost — surfaced through the experiment runner next to
-/// the allocation-round records so the batching and the asymptotic solver
-/// win show up as counters, not just wall time.
-struct NetStats {
+/// the allocation-round counters so the batching and the asymptotic solver
+/// win show up as counters, not just wall time.  The solver accumulates its
+/// work counters (the SolveCounters base) straight into the run's stats.
+struct NetStats : SolveCounters {
   /// Flow-set changes that requested a rate recompute (each one was a full
   /// recompute before same-timestamp batching).
   std::uint64_t recomputes_requested = 0;
   /// Rate solves actually executed.
   std::uint64_t recomputes_run = 0;
-  /// Rate rewrites + certificate entries + flows visited by fallback
-  /// rounds, across all solves.
-  std::uint64_t flows_scanned = 0;
-  /// Certificates evaluated + fallback heap operations, across all solves.
-  std::uint64_t links_scanned = 0;
-  /// Fallback bottleneck rounds across all solves.
-  std::uint64_t rounds = 0;
-  /// Solves run (the name predates the certified solver).
-  std::uint64_t components_total = 0;
-  /// Solves that took the progressive-filling fallback.
-  std::uint64_t components_dirty = 0;
+  /// Recomputes absorbed by same-timestamp batching; always
+  /// recomputes_requested - recomputes_run.
+  std::uint64_t recomputes_batched = 0;
   /// Flow rates (re)written by solves.
   std::uint64_t rates_changed = 0;
   /// Completion re-arms, each a scan of every live flow.
   std::uint64_t completion_rescans = 0;
   /// Wall-clock seconds spent inside rate solves.
   double wall_seconds = 0.0;
-
-  /// Recomputes absorbed by same-timestamp batching.
-  [[nodiscard]] std::uint64_t recomputes_batched() const {
-    return recomputes_requested - recomputes_run;
-  }
 };
 
 /// Owner-supplied recipe for rebuilding a flow's completion callback after

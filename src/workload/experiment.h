@@ -22,7 +22,7 @@
 #include "cluster/manager_factory.h"
 #include "core/allocator.h"
 #include "common/stats.h"
-#include "metrics/metrics.h"
+#include "net/network.h"
 #include "obs/trace.h"
 #include "workload/trace.h"
 #include "workload/workloads.h"
@@ -132,7 +132,7 @@ struct ExperimentResult {
   double round_yield_fraction = 0.0;
   /// Fluid-network rate-path cost: recomputes run vs. batched away, scan
   /// counters, wall time.
-  metrics::NetworkStatsRecord net_stats;
+  net::NetStats net_stats;
   /// Total bytes moved over the simulated network.
   double net_bytes_delivered = 0.0;
   /// Cache effectiveness when a block cache is configured.

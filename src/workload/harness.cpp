@@ -344,10 +344,7 @@ LiveRun::LiveRun(const SubstrateSnapshot& snapshot, ManagerKind manager_kind)
   }
   manager_->set_round_observer(
       [this, tracer](const cluster::AllocationRoundInfo& info) {
-        metrics_.record_round({info.when, info.wall_seconds,
-                               info.idle_executors, info.grants, info.apps,
-                               info.executors_scanned, info.demand_apps,
-                               info.demanded_tasks, info.skipped});
+        metrics_.record_round(info.wall_seconds, info.grants);
         if (tracer != nullptr) {
           tracer->instant({.value = info.wall_seconds,
                            .id = static_cast<std::int32_t>(info.idle_executors),
@@ -708,13 +705,7 @@ void LiveRun::restore(const std::vector<std::uint8_t>& bytes) {
 
 ExperimentResult LiveRun::collect() {
   const ExperimentConfig& config = snapshot_.config();
-  net::Network& net = ctx_.network();
-  const net::NetStats& ns = net.stats();
-  metrics_.record_network(
-      {ns.recomputes_requested, ns.recomputes_run, ns.recomputes_batched(),
-       ns.flows_scanned, ns.links_scanned, ns.rounds, ns.components_total,
-       ns.components_dirty, ns.rates_changed, ns.completion_rescans,
-       ns.wall_seconds});
+  const net::Network& net = ctx_.network();
 
   ExperimentResult result;
   result.manager_name = ManagerName(manager_kind_);
@@ -733,7 +724,7 @@ ExperimentResult LiveRun::collect() {
   result.manager_stats = manager_->stats();
   result.round_wall = metrics_.round_wall_summary();
   result.round_yield_fraction = metrics_.round_yield_fraction();
-  result.net_stats = metrics_.network_stats();
+  result.net_stats = net.stats();
   result.net_bytes_delivered = net.bytes_delivered();
   result.cache_insertions = ctx_.cache().stats().insertions;
   result.cache_hits = ctx_.cache().stats().hits;

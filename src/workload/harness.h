@@ -42,6 +42,7 @@
 #include "common/snapshot.h"
 #include "dfs/cache.h"
 #include "dfs/dfs.h"
+#include "metrics/metrics.h"
 #include "net/network.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"

@@ -195,7 +195,7 @@ TEST(CustodyManager, SkipsRoundWhenNoAppBelowBudget) {
   EXPECT_EQ(f.manager.stats().allocation_rounds, 1u);
   EXPECT_EQ(f.manager.stats().rounds_skipped, 1u);
   ASSERT_EQ(observed.size(), 1u);
-  EXPECT_TRUE(observed[0].skipped);
+  EXPECT_EQ(observed[0].wall_seconds, 0.0);
   EXPECT_EQ(observed[0].grants, 0u);
   EXPECT_EQ(observed[0].idle_executors, 4u);
 
@@ -206,10 +206,7 @@ TEST(CustodyManager, SkipsRoundWhenNoAppBelowBudget) {
   EXPECT_EQ(f.manager.stats().allocation_rounds, 2u);
   EXPECT_EQ(f.manager.stats().rounds_skipped, 1u);  // only the first
   ASSERT_EQ(observed.size(), 2u);
-  EXPECT_FALSE(observed[1].skipped);
   EXPECT_EQ(observed[1].grants, 1u);
-  EXPECT_EQ(observed[1].demand_apps, 1u);
-  EXPECT_EQ(observed[1].demanded_tasks, 1u);
   EXPECT_EQ(f.manager.stats().demand_apps, 1u);
   EXPECT_EQ(f.manager.stats().demanded_tasks, 1u);
 }
@@ -234,15 +231,13 @@ TEST(CustodyManager, RoundInstrumentationAccumulates) {
   const auto& stats = f.manager.stats();
   EXPECT_EQ(stats.allocation_rounds, 1u);
   EXPECT_EQ(stats.executors_granted, 1u);
-  EXPECT_GE(stats.allocation_wall_seconds, 0.0);
-  EXPECT_GE(stats.allocation_wall_seconds, stats.last_round_wall_seconds);
   EXPECT_GT(stats.executors_scanned, 0u);
   EXPECT_GT(stats.apps_considered, 0u);
   ASSERT_EQ(observed.size(), 1u);
   EXPECT_EQ(observed[0].grants, 1u);
-  EXPECT_EQ(observed[0].apps, 1u);
   EXPECT_EQ(observed[0].idle_executors, 4u);
-  EXPECT_EQ(observed[0].executors_scanned, stats.executors_scanned);
+  EXPECT_GE(observed[0].wall_seconds, 0.0);
+  EXPECT_EQ(stats.allocation_wall_seconds, observed[0].wall_seconds);
 }
 
 TEST(CustodyManager, RejectsDuplicateAppIds) {

@@ -331,7 +331,7 @@ TEST(Network, FanOutInOneEventBatchesToOneRecompute) {
   const NetStats& stats = net.stats();
   EXPECT_EQ(stats.recomputes_requested, 7u);
   EXPECT_EQ(stats.recomputes_run, 2u);
-  EXPECT_EQ(stats.recomputes_batched(),
+  EXPECT_EQ(stats.recomputes_batched,
             stats.recomputes_requested - stats.recomputes_run);
   // Both solves certified every flow at the uplink share: no fallback.
   EXPECT_EQ(stats.components_total, 2u);

@@ -102,7 +102,7 @@ inline std::vector<ResultField> FlattenResult(
   out.push_back({"round_wall.count", U{r.round_wall.count}});
   out.push_back({"round_yield_fraction", r.round_yield_fraction});
   if (fields & kNetWork) {
-    const metrics::NetworkStatsRecord& n = r.net_stats;
+    const net::NetStats& n = r.net_stats;
     out.push_back(
         {"net_stats.recomputes_requested", U{n.recomputes_requested}});
     out.push_back({"net_stats.recomputes_run", U{n.recomputes_run}});

@@ -20,9 +20,9 @@
 //    throw or succeed, never crash (the ASan/UBSan CI job runs this).
 //
 // Excluded fields: wall-clock diagnostics only (allocation_wall_seconds,
-// last_round_wall_seconds, net_stats.wall_seconds, round_wall's duration
-// stats) — they measure real time, not simulated behaviour.  round_wall's
-// count and every other field must match exactly.
+// net_stats.wall_seconds, round_wall's duration stats) — they measure real
+// time, not simulated behaviour.  round_wall's count and every other field
+// must match exactly.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -117,6 +117,36 @@ TEST(SnapshotEquivalence, PoolManySeedsAllPoints) {
 
 TEST(SnapshotEquivalence, OfferManySeedsAllPoints) {
   SweepManager(ManagerKind::kOffer, 2300, 20);
+}
+
+// Each run counter is read from the layer that keeps it: the round-wall
+// summary counts exactly the Custody manager's allocation rounds (the other
+// managers report no rounds to the metrics), and the network's batched
+// count stays requested - run.  Checked on a straight run and on one
+// restored mid-way, where the restored layers must keep both true.
+TEST(SnapshotEquivalence, RunCountersAgreeWithOwningLayers) {
+  for (const ManagerKind manager :
+       {ManagerKind::kCustody, ManagerKind::kStandalone, ManagerKind::kOffer,
+        ManagerKind::kPool}) {
+    const SubstrateSnapshot snapshot =
+        SubstrateSnapshot::Build(BaseConfig(manager, 2400));
+    const ExperimentResult straight = RunOnSnapshot(snapshot, manager);
+    const ExperimentResult restored = RunWithRestore(snapshot, manager, 14.0);
+    for (const ExperimentResult* r : {&straight, &restored}) {
+      SCOPED_TRACE(r->manager_name +
+                   (r == &straight ? " straight" : " restored"));
+      if (manager == ManagerKind::kCustody) {
+        EXPECT_GT(r->manager_stats.allocation_rounds, 0u);
+        EXPECT_EQ(r->round_wall.count, r->manager_stats.allocation_rounds);
+      } else {
+        EXPECT_EQ(r->round_wall.count, 0u);
+      }
+      EXPECT_GT(r->net_stats.recomputes_run, 0u);
+      EXPECT_EQ(r->net_stats.recomputes_batched,
+                r->net_stats.recomputes_requested -
+                    r->net_stats.recomputes_run);
+    }
+  }
 }
 
 // The pre-run boundary is a valid snapshot point too: save immediately
