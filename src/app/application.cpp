@@ -17,10 +17,24 @@ namespace {
 
 // FlowLabel callback kinds — the application's private recipe for
 // rebuilding a restored flow's completion callback (a = task id, b = task
-// epoch, c = app id; see rebuild_flow_callback).
-constexpr std::uint32_t kFlowInputRead = 1;
-constexpr std::uint32_t kFlowCloneRead = 2;
+// epoch, c = app id; see flow_fn).  Snapshots store them.
+constexpr std::uint32_t kFlowInputRead = 1;  // primary attempt's input read
+constexpr std::uint32_t kFlowCloneRead = 2;  // clone attempt's input read
 constexpr std::uint32_t kFlowShuffleFetch = 3;
+
+/// Speculation: finished input-stage siblings needed before their mean
+/// duration is trusted to call a running task slow.
+constexpr int kSpeculationMinFinished = 3;
+
+/// An attempt's snapshot tail: timer descriptor, then flow id.
+void SaveTimerAndFlow(snap::SnapshotWriter& w, const Attempt& a) {
+  w.u8(static_cast<std::uint8_t>(a.kind));
+  if (a.kind != TimerKind::kNone) {
+    w.f64(a.time);
+    w.u64(a.seq);
+  }
+  w.u32(a.flow.value());
+}
 
 }  // namespace
 
@@ -346,7 +360,7 @@ void Application::kick() {
       const auto pick = scheduler_.pick(node, now, active_jobs_, retry_at);
       if (pick) {
         Task& t = task(pick->task);
-        t.local = pick->local;
+        t.attempts[kPrimary].local = pick->local;
         launch(t, exec);
         // The launch consumed a ready task (and a local launch resets its
         // job's locality wait): any cached "nothing launchable" is stale.
@@ -405,40 +419,53 @@ void Application::retry_fired() {
 }
 
 sim::EventFn Application::timer_fn(TaskId id, std::uint32_t epoch,
-                                  TimerKind kind, bool spec) {
-  return [this, id, epoch, kind, spec] {
-    Task* found = find_task(id);
-    if (found == nullptr || found->epoch != epoch) return;
-    if (spec) {
-      found->spec_kind = TimerKind::kNone;
-      if (kind == TimerKind::kRead) {
-        start_clone_compute(*found);
-      } else {
-        finish_attempt(*found, 1);
-      }
+                                  TimerKind kind, int i) {
+  return [this, id, epoch, kind, i] {
+    Task* t = find_task(id);
+    if (t == nullptr || t->epoch != epoch) return;
+    t->attempts[i].kind = TimerKind::kNone;
+    if (kind == TimerKind::kRead) {
+      start_compute(*t, i);
     } else {
-      found->pending_kind = TimerKind::kNone;
-      if (kind == TimerKind::kRead) {
-        start_compute(*found);
-      } else {
-        finish_attempt(*found, 0);
-      }
+      finish_attempt(*t, i);
     }
   };
 }
 
-void Application::arm_task_timer(Task& t, TimerKind kind, double delay) {
-  t.pending_event = sim_.schedule(delay, timer_fn(t.id, t.epoch, kind, false));
-  t.pending_kind = kind;
-  t.pending_time = sim_.now() + delay;
-  t.pending_seq = sim_.last_event_seq();
+void Application::arm_timer(Task& t, int i, TimerKind kind, double delay) {
+  Attempt& a = t.attempts[i];
+  a.event = sim_.schedule(delay, timer_fn(t.id, t.epoch, kind, i));
+  a.kind = kind;
+  a.time = sim_.now() + delay;
+  a.seq = sim_.last_event_seq();
 }
 
-void Application::arm_spec_timer(Task& t, TimerKind kind, double delay) {
-  t.spec_event = sim_.schedule(delay, timer_fn(t.id, t.epoch, kind, true));
-  t.spec_kind = kind;
-  t.spec_time = sim_.now() + delay;
-  t.spec_seq = sim_.last_event_seq();
+net::Network::CompletionFn Application::flow_fn(const net::FlowLabel& label,
+                                                NodeId dst) {
+  const TaskId id(label.a);
+  const std::uint32_t ep = label.b;
+  switch (label.kind) {
+    case kFlowInputRead:
+    case kFlowCloneRead: {
+      const int i = label.kind == kFlowInputRead ? kPrimary : kClone;
+      return [this, id, ep, i, node = dst] {
+        Task* t = find_task(id);
+        if (t == nullptr || t->epoch != ep) return;
+        t->attempts[i].flow = FlowId::invalid();
+        if (cache_ != nullptr) cache_->insert(node, t->block);
+        start_compute(*t, i);
+      };
+    }
+    case kFlowShuffleFetch:
+      return [this, id, ep] {
+        Task* t = find_task(id);
+        if (t == nullptr || t->epoch != ep) return;
+        if (--t->fetches_outstanding == 0) start_compute(*t, kPrimary);
+      };
+    default:
+      throw snap::SnapshotError("Application: unknown flow label kind " +
+                                std::to_string(label.kind));
+  }
 }
 
 void Application::launch(Task& t, ExecutorId exec) {
@@ -450,7 +477,7 @@ void Application::launch(Task& t, ExecutorId exec) {
   index_.task_unready(t);
   t.state = TaskState::kRunning;
   ++running_tasks_;
-  t.executor = exec;
+  t.attempts[kPrimary].executor = exec;
   t.launch_time = now;
 
   Job& j = job(t.job);
@@ -481,7 +508,7 @@ void Application::launch(Task& t, ExecutorId exec) {
     ++j.launched_input_tasks;
     ++achieved_.total_tasks;
     std::int32_t verdict = obs::kVerdictLocal;
-    if (t.local) {
+    if (t.attempts[kPrimary].local) {
       ++j.local_input_tasks;
       ++achieved_.local_tasks;
       ++breakdown_.local;
@@ -499,90 +526,75 @@ void Application::launch(Task& t, ExecutorId exec) {
       }
     }
     if (tracer_ != nullptr) trace_wait(verdict);
-    if (t.local) {
-      // Disk replica or cached copy; cached reads run at memory speed.
-      const bool on_disk = dfs_.is_local(t.block, e.node);
-      if (!on_disk && cache_ != nullptr) {
-        cache_->record_cached_read(e.node, t.block);
-      }
-      const double rate = on_disk ? cluster_.disk_bps(e.node)
-                                  : cluster_.config().memory_bps;
-      arm_task_timer(t, TimerKind::kRead, t.input_bytes / rate);
-    } else {
-      // Remote read: stream the block from a replica (or cached copy) over
-      // the network; the receiving node caches what it pulled.
-      const auto& locs = locations_of(t.block);
-      assert(!locs.empty());
-      NodeId src = rng_.pick(locs);
-      if (src == e.node) {
-        // A cached copy appeared on this node after scheduling; read it.
-        // (Epoch-guarded like every other attempt timer: a failure reset
-        // between scheduling and firing must orphan this callback.)
-        if (cache_ != nullptr) cache_->record_cached_read(e.node, t.block);
-        arm_task_timer(t, TimerKind::kRead,
-                       t.input_bytes / cluster_.config().memory_bps);
-        return;
-      }
-      t.pending_flow = net_.start_flow(
-          src, e.node, t.input_bytes,
-          [this, id = t.id, node = e.node, ep = t.epoch] {
-            Task* fetched = find_task(id);
-            if (fetched == nullptr || fetched->epoch != ep) return;
-            fetched->pending_flow = FlowId::invalid();
-            if (cache_ != nullptr) cache_->insert(node, fetched->block);
-            start_compute(*fetched);
-          },
-          {.kind = kFlowInputRead,
-           .a = t.id.value(),
-           .b = t.epoch,
-           .c = id_.value()});
-    }
+    start_read(t, kPrimary);
     return;
   }
 
   // Downstream task: fetch shuffle partitions from previous-stage nodes.
   if (tracer_ != nullptr) trace_wait(obs::kVerdictNonInput);
-  std::vector<NodeId> remote;
-  double local_bytes = 0.0;
-  for (NodeId src : t.fetch_sources) {
-    if (src == e.node) {
-      local_bytes += t.input_bytes / t.fetch_sources.size();
-    } else {
-      remote.push_back(src);
-    }
-  }
+  std::vector<NodeId> remote = t.fetch_sources;
+  std::erase(remote, e.node);
   t.fetches_outstanding = static_cast<int>(remote.size());
   if (t.fetches_outstanding == 0) {
     // Everything is on this node (or the task has no input at all).
     const double read_secs =
         t.input_bytes > 0.0 ? t.input_bytes / cluster_.disk_bps(e.node) : 0.0;
-    arm_task_timer(t, TimerKind::kRead, read_secs);
+    arm_timer(t, kPrimary, TimerKind::kRead, read_secs);
     return;
   }
+  // Compute starts once the last remote partition has arrived.
   const double bytes_per_source =
       t.input_bytes / static_cast<double>(t.fetch_sources.size());
-  (void)local_bytes;  // local portion is read while remote fetches stream in
+  const net::FlowLabel label{.kind = kFlowShuffleFetch,
+                             .a = t.id.value(),
+                             .b = t.epoch,
+                             .c = id_.value()};
   for (NodeId src : remote) {
-    net_.start_flow(src, e.node, bytes_per_source,
-                    [this, id = t.id, ep = t.epoch] {
-                      Task* fetched = find_task(id);
-                      if (fetched == nullptr || fetched->epoch != ep) return;
-                      if (--fetched->fetches_outstanding == 0) {
-                        start_compute(*fetched);
-                      }
-                    },
-                    {.kind = kFlowShuffleFetch,
-                     .a = t.id.value(),
-                     .b = t.epoch,
-                     .c = id_.value()});
+    net_.start_flow(src, e.node, bytes_per_source, flow_fn(label, e.node),
+                    label);
   }
 }
 
-void Application::start_compute(Task& t) {
-  assert(t.state == TaskState::kRunning);
-  t.compute_start = sim_.now();
-  const double speed = cluster_.node_speed(cluster_.node_of(t.executor));
-  arm_task_timer(t, TimerKind::kCompute, t.compute_secs / speed);
+void Application::start_read(Task& t, int i) {
+  const NodeId node = cluster_.node_of(t.attempts[i].executor);
+  if (t.attempts[i].local) {
+    // Disk replica or cached copy; cached reads run at memory speed.
+    const bool on_disk = dfs_.is_local(t.block, node);
+    if (!on_disk && cache_ != nullptr) {
+      cache_->record_cached_read(node, t.block);
+    }
+    const double rate =
+        on_disk ? cluster_.disk_bps(node) : cluster_.config().memory_bps;
+    arm_timer(t, i, TimerKind::kRead, t.input_bytes / rate);
+    return;
+  }
+  // Remote read: stream the block from a replica (or cached copy) over the
+  // network; the receiving node caches what it pulled.
+  const auto& locs = locations_of(t.block);
+  assert(!locs.empty());
+  const NodeId src = rng_.pick(locs);
+  if (src == node) {
+    // A cached copy appeared on this node after scheduling; read it.
+    if (cache_ != nullptr) cache_->record_cached_read(node, t.block);
+    arm_timer(t, i, TimerKind::kRead,
+              t.input_bytes / cluster_.config().memory_bps);
+    return;
+  }
+  const net::FlowLabel label{
+      .kind = i == kPrimary ? kFlowInputRead : kFlowCloneRead,
+      .a = t.id.value(),
+      .b = t.epoch,
+      .c = id_.value()};
+  t.attempts[i].flow =
+      net_.start_flow(src, node, t.input_bytes, flow_fn(label, node), label);
+}
+
+void Application::start_compute(Task& t, int i) {
+  assert(t.state == TaskState::kRunning && (i == kPrimary || t.spec_active));
+  Attempt& a = t.attempts[i];
+  a.compute_start = sim_.now();
+  const double speed = cluster_.node_speed(cluster_.node_of(a.executor));
+  arm_timer(t, i, TimerKind::kCompute, t.compute_secs / speed);
 }
 
 TaskId Application::pick_speculative(NodeId node) const {
@@ -600,7 +612,7 @@ TaskId Application::pick_speculative(NodeId node) const {
         total_duration += t.finish_time - t.launch_time;
       }
     }
-    if (finished < config_.speculation_min_finished) continue;
+    if (finished < kSpeculationMinFinished) continue;
     const double slow_after = config_.speculation_multiplier *
                               (total_duration / finished);
     for (TaskId id : input.tasks) {
@@ -620,8 +632,9 @@ void Application::launch_clone(Task& t, ExecutorId exec) {
   assert(!e.busy && e.owner == id_);
   cluster_.set_busy(exec, true);
   t.spec_active = true;
-  t.spec_executor = exec;
-  t.spec_local = scheduler_.is_local(t.block, e.node);
+  Attempt& clone = t.attempts[kClone];
+  clone.executor = exec;
+  clone.local = scheduler_.is_local(t.block, e.node);
   ++spec_launches_;
   if (tracer_ != nullptr) {
     tracer_->instant({.app = obs::IdOf(id_),
@@ -630,96 +643,41 @@ void Application::launch_clone(Task& t, ExecutorId exec) {
                       .stage = t.stage,
                       .node = obs::IdOf(e.node),
                       .block = obs::IdOf(t.block),
-                      .aux = t.spec_local ? 1 : 0,
+                      .aux = clone.local ? 1 : 0,
                       .kind = obs::EventKind::kSpecLaunch});
   }
-
-  if (t.spec_local) {
-    const bool on_disk = dfs_.is_local(t.block, e.node);
-    if (!on_disk && cache_ != nullptr) {
-      cache_->record_cached_read(e.node, t.block);
-    }
-    const double rate = on_disk ? cluster_.disk_bps(e.node)
-                                : cluster_.config().memory_bps;
-    arm_spec_timer(t, TimerKind::kRead, t.input_bytes / rate);
-    return;
-  }
-  const auto& locs = locations_of(t.block);
-  assert(!locs.empty());
-  NodeId src = rng_.pick(locs);
-  if (src == e.node) {
-    if (cache_ != nullptr) cache_->record_cached_read(e.node, t.block);
-    arm_spec_timer(t, TimerKind::kRead,
-                   t.input_bytes / cluster_.config().memory_bps);
-    return;
-  }
-  t.spec_flow = net_.start_flow(
-      src, e.node, t.input_bytes,
-      [this, id = t.id, node = e.node, ep = t.epoch] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        fetched->spec_flow = FlowId::invalid();
-        if (cache_ != nullptr) cache_->insert(node, fetched->block);
-        start_clone_compute(*fetched);
-      },
-      {.kind = kFlowCloneRead,
-       .a = t.id.value(),
-       .b = t.epoch,
-       .c = id_.value()});
+  start_read(t, kClone);
 }
 
-void Application::start_clone_compute(Task& t) {
-  if (t.state != TaskState::kRunning || !t.spec_active) return;
-  t.spec_compute_start = sim_.now();
-  const double speed = cluster_.node_speed(cluster_.node_of(t.spec_executor));
-  arm_spec_timer(t, TimerKind::kCompute, t.compute_secs / speed);
-}
-
-void Application::finish_attempt(Task& t, int attempt) {
+void Application::finish_attempt(Task& t, int i) {
   if (t.state != TaskState::kRunning) return;  // a stale completion
-  if (attempt == 1) {
-    // The clone won: abort the primary and adopt the clone's placement.
-    ++spec_wins_;
-    t.pending_event.cancel();
-    t.pending_kind = TimerKind::kNone;
-    if (t.pending_flow.valid() && net_.flow_active(t.pending_flow)) {
-      net_.cancel_flow(t.pending_flow);
+  if (t.spec_active) {
+    // First attempt to finish wins; the other is aborted, and a winning
+    // clone takes over the primary slot.
+    abort_attempt(t, 1 - i);
+    if (i == kClone) {
+      ++spec_wins_;
+      t.attempts[kPrimary] = std::move(t.attempts[kClone]);
     }
-    t.pending_flow = FlowId::invalid();
-    mark_free(t.executor);
-    t.executor = t.spec_executor;
-    t.local = t.spec_local;
-    t.compute_start = t.spec_compute_start;
-  } else if (t.spec_active) {
-    // The primary won: abort the clone and free its executor.
-    t.spec_event.cancel();
-    t.spec_kind = TimerKind::kNone;
-    if (t.spec_flow.valid() && net_.flow_active(t.spec_flow)) {
-      net_.cancel_flow(t.spec_flow);
-    }
-    t.spec_flow = FlowId::invalid();
-    mark_free(t.spec_executor);
+    t.spec_active = false;
   }
-  t.spec_active = false;
   finish_task(t);
+}
+
+void Application::abort_attempt(Task& t, int i) {
+  Attempt& a = t.attempts[i];
+  a.event.cancel();
+  a.kind = TimerKind::kNone;
+  if (a.flow.valid() && net_.flow_active(a.flow)) net_.cancel_flow(a.flow);
+  a.flow = FlowId::invalid();
+  if (cluster_.executor_alive(a.executor)) mark_free(a.executor);
 }
 
 void Application::reset_task(Task& t) {
   assert(t.state == TaskState::kRunning);
-  t.pending_event.cancel();
-  t.pending_kind = TimerKind::kNone;
-  if (t.pending_flow.valid() && net_.flow_active(t.pending_flow)) {
-    net_.cancel_flow(t.pending_flow);
-  }
-  t.pending_flow = FlowId::invalid();
+  abort_attempt(t, kPrimary);
   if (t.spec_active) {
-    t.spec_event.cancel();
-    t.spec_kind = TimerKind::kNone;
-    if (t.spec_flow.valid() && net_.flow_active(t.spec_flow)) {
-      net_.cancel_flow(t.spec_flow);
-    }
-    t.spec_flow = FlowId::invalid();
-    if (cluster_.executor_alive(t.spec_executor)) mark_free(t.spec_executor);
+    abort_attempt(t, kClone);
     t.spec_active = false;
   }
   if (tracer_ != nullptr) {
@@ -727,7 +685,8 @@ void Application::reset_task(Task& t) {
                       .job = obs::IdOf(t.job),
                       .id = obs::IdOf(t.id),
                       .stage = t.stage,
-                      .node = obs::IdOf(cluster_.node_of(t.executor)),
+                      .node = obs::IdOf(cluster_.node_of(
+                          t.attempts[kPrimary].executor)),
                       .block = obs::IdOf(t.block),
                       .kind = obs::EventKind::kTaskReset});
   }
@@ -736,7 +695,7 @@ void Application::reset_task(Task& t) {
   if (t.is_input()) {
     --j.launched_input_tasks;
     --achieved_.total_tasks;
-    if (t.local) {
+    if (t.attempts[kPrimary].local) {
       --j.local_input_tasks;
       --achieved_.local_tasks;
     }
@@ -745,8 +704,8 @@ void Application::reset_task(Task& t) {
   t.state = TaskState::kReady;
   --running_tasks_;
   t.ready_time = sim_.now();
-  t.executor = ExecutorId::invalid();
-  t.local = false;
+  t.attempts[kPrimary].executor = ExecutorId::invalid();
+  t.attempts[kPrimary].local = false;
   t.fetches_outstanding = 0;
   index_.task_ready(t);
 }
@@ -758,18 +717,13 @@ void Application::on_executor_lost(ExecutorId exec) {
       for (TaskId id : stage.tasks) {
         Task& t = task(id);
         if (t.state != TaskState::kRunning) continue;
-        if (t.executor == exec) {
+        if (t.attempts[kPrimary].executor == exec) {
           // The primary attempt died with the node; restart from ready.
           reset_task(t);
           lost_work = true;
-        } else if (t.spec_active && t.spec_executor == exec) {
+        } else if (t.spec_active && t.attempts[kClone].executor == exec) {
           // Only the clone died; the primary attempt keeps running.
-          t.spec_event.cancel();
-          t.spec_kind = TimerKind::kNone;
-          if (t.spec_flow.valid() && net_.flow_active(t.spec_flow)) {
-            net_.cancel_flow(t.spec_flow);
-          }
-          t.spec_flow = FlowId::invalid();
+          abort_attempt(t, kClone);
           t.spec_active = false;
           lost_work = true;
         }
@@ -788,25 +742,26 @@ void Application::finish_task(Task& t) {
   t.state = TaskState::kFinished;
   --running_tasks_;
   t.finish_time = now;
-  mark_free(t.executor);
+  const Attempt& won = t.attempts[kPrimary];
+  mark_free(won.executor);
 
   if (tracer_ != nullptr) {
-    const std::int32_t node = obs::IdOf(cluster_.node_of(t.executor));
+    const std::int32_t node = obs::IdOf(cluster_.node_of(won.executor));
     // Read/fetch span (launch → compute start) then compute span
     // (compute start → finish); a clone win folds the primary's wasted
     // read into the read span (compute_start is the winner's).
     tracer_->record({.t0 = t.launch_time,
-                     .t1 = t.compute_start,
+                     .t1 = won.compute_start,
                      .app = obs::IdOf(id_),
                      .job = obs::IdOf(t.job),
                      .id = obs::IdOf(t.id),
                      .stage = t.stage,
                      .node = node,
                      .block = obs::IdOf(t.block),
-                     .aux = t.is_input() ? (t.local ? 1 : 0) : -1,
+                     .aux = t.is_input() ? (won.local ? 1 : 0) : -1,
                      .kind = t.is_input() ? obs::EventKind::kTaskInputRead
                                           : obs::EventKind::kTaskShuffleRead});
-    tracer_->record({.t0 = t.compute_start,
+    tracer_->record({.t0 = won.compute_start,
                      .t1 = now,
                      .app = obs::IdOf(id_),
                      .job = obs::IdOf(t.job),
@@ -821,7 +776,7 @@ void Application::finish_task(Task& t) {
   record.job = t.job;
   record.stage = t.stage;
   record.is_input = t.is_input();
-  record.local = t.local;
+  record.local = won.local;
   record.ready_time = t.ready_time;
   record.launch_time = t.launch_time;
   record.finish_time = t.finish_time;
@@ -829,7 +784,7 @@ void Application::finish_task(Task& t) {
 
   Job& j = job(t.job);
   Stage& stage = j.stages[static_cast<std::size_t>(t.stage)];
-  stage.output_nodes.push_back(cluster_.node_of(t.executor));
+  stage.output_nodes.push_back(cluster_.node_of(won.executor));
   ++stage.finished;
   if (stage.complete()) complete_stage(j, stage);
 
@@ -1081,37 +1036,7 @@ std::string Application::audit_dispatch_state() {
 
 net::Network::CompletionFn Application::rebuild_flow_callback(
     FlowId /*flow*/, const net::FlowLabel& label, NodeId /*src*/, NodeId dst) {
-  // Bodies are byte-identical to the lambdas the live start_flow sites
-  // install — a restored flow must behave exactly like the original.
-  const TaskId id(label.a);
-  const std::uint32_t ep = label.b;
-  switch (label.kind) {
-    case kFlowInputRead:
-      return [this, id, node = dst, ep] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        fetched->pending_flow = FlowId::invalid();
-        if (cache_ != nullptr) cache_->insert(node, fetched->block);
-        start_compute(*fetched);
-      };
-    case kFlowCloneRead:
-      return [this, id, node = dst, ep] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        fetched->spec_flow = FlowId::invalid();
-        if (cache_ != nullptr) cache_->insert(node, fetched->block);
-        start_clone_compute(*fetched);
-      };
-    case kFlowShuffleFetch:
-      return [this, id, ep] {
-        Task* fetched = find_task(id);
-        if (fetched == nullptr || fetched->epoch != ep) return;
-        if (--fetched->fetches_outstanding == 0) start_compute(*fetched);
-      };
-    default:
-      throw snap::SnapshotError("Application: unknown flow label kind " +
-                                std::to_string(label.kind));
-  }
+  return flow_fn(label, dst);
 }
 
 void Application::SaveTo(snap::SnapshotWriter& w) const {
@@ -1191,32 +1116,24 @@ void Application::SaveTo(snap::SnapshotWriter& w) const {
     w.f64(t.input_bytes);
     w.f64(t.compute_secs);
     w.u8(static_cast<std::uint8_t>(t.state));
-    w.u32(t.executor.value());
-    w.b(t.local);
+    const Attempt& primary = t.attempts[kPrimary];
+    w.u32(primary.executor.value());
+    w.b(primary.local);
     w.f64(t.ready_time);
     w.f64(t.launch_time);
     w.f64(t.finish_time);
-    w.f64(t.compute_start);
+    w.f64(primary.compute_start);
     w.i64(t.fetches_outstanding);
     w.size(t.fetch_sources.size());
     for (NodeId n : t.fetch_sources) w.u32(n.value());
     w.u32(t.epoch);
-    w.u8(static_cast<std::uint8_t>(t.pending_kind));
-    if (t.pending_kind != TimerKind::kNone) {
-      w.f64(t.pending_time);
-      w.u64(t.pending_seq);
-    }
-    w.u32(t.pending_flow.value());
+    SaveTimerAndFlow(w, primary);
+    const Attempt& clone = t.attempts[kClone];
     w.b(t.spec_active);
-    w.u32(t.spec_executor.value());
-    w.b(t.spec_local);
-    w.f64(t.spec_compute_start);
-    w.u8(static_cast<std::uint8_t>(t.spec_kind));
-    if (t.spec_kind != TimerKind::kNone) {
-      w.f64(t.spec_time);
-      w.u64(t.spec_seq);
-    }
-    w.u32(t.spec_flow.value());
+    w.u32(clone.executor.value());
+    w.b(clone.local);
+    w.f64(clone.compute_start);
+    SaveTimerAndFlow(w, clone);
   }
 }
 
@@ -1292,6 +1209,24 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
     active_jobs_.push_back(it->second);
   }
 
+  // The inverse of SaveTimerAndFlow: re-arms the timer under its original
+  // sequence number.
+  const auto restore_timer_and_flow = [&](Task& t, int i) {
+    Attempt& a = t.attempts[i];
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(TimerKind::kCompute)) {
+      throw snap::SnapshotError("Application: bad attempt timer kind " +
+                                std::to_string(kind));
+    }
+    a.kind = static_cast<TimerKind>(kind);
+    if (a.kind != TimerKind::kNone) {
+      a.time = r.f64();
+      a.seq = r.u64();
+      a.event =
+          sim_.rearm_at(a.time, a.seq, timer_fn(t.id, t.epoch, a.kind, i));
+    }
+    a.flow = FlowId(r.u32());
+  };
   tasks_.clear();
   const std::size_t num_tasks = r.size();
   for (std::size_t i = 0; i < num_tasks; ++i) {
@@ -1309,47 +1244,24 @@ void Application::RestoreFrom(snap::SnapshotReader& r) {
                                 std::to_string(state));
     }
     t.state = static_cast<TaskState>(state);
-    t.executor = ExecutorId(r.u32());
-    t.local = r.b();
+    Attempt& primary = t.attempts[kPrimary];
+    primary.executor = ExecutorId(r.u32());
+    primary.local = r.b();
     t.ready_time = r.f64();
     t.launch_time = r.f64();
     t.finish_time = r.f64();
-    t.compute_start = r.f64();
+    primary.compute_start = r.f64();
     t.fetches_outstanding = static_cast<int>(r.i64());
     t.fetch_sources.assign(r.size(), NodeId());
     for (NodeId& n : t.fetch_sources) n = NodeId(r.u32());
     t.epoch = r.u32();
-    const std::uint8_t pending = r.u8();
-    if (pending > static_cast<std::uint8_t>(TimerKind::kCompute)) {
-      throw snap::SnapshotError("Application: bad pending timer kind " +
-                                std::to_string(pending));
-    }
-    t.pending_kind = static_cast<TimerKind>(pending);
-    if (t.pending_kind != TimerKind::kNone) {
-      t.pending_time = r.f64();
-      t.pending_seq = r.u64();
-      t.pending_event =
-          sim_.rearm_at(t.pending_time, t.pending_seq,
-                        timer_fn(t.id, t.epoch, t.pending_kind, false));
-    }
-    t.pending_flow = FlowId(r.u32());
+    restore_timer_and_flow(t, kPrimary);
+    Attempt& clone = t.attempts[kClone];
     t.spec_active = r.b();
-    t.spec_executor = ExecutorId(r.u32());
-    t.spec_local = r.b();
-    t.spec_compute_start = r.f64();
-    const std::uint8_t spec = r.u8();
-    if (spec > static_cast<std::uint8_t>(TimerKind::kCompute)) {
-      throw snap::SnapshotError("Application: bad clone timer kind " +
-                                std::to_string(spec));
-    }
-    t.spec_kind = static_cast<TimerKind>(spec);
-    if (t.spec_kind != TimerKind::kNone) {
-      t.spec_time = r.f64();
-      t.spec_seq = r.u64();
-      t.spec_event = sim_.rearm_at(t.spec_time, t.spec_seq,
-                                   timer_fn(t.id, t.epoch, t.spec_kind, true));
-    }
-    t.spec_flow = FlowId(r.u32());
+    clone.executor = ExecutorId(r.u32());
+    clone.local = r.b();
+    clone.compute_start = r.f64();
+    restore_timer_and_flow(t, kClone);
     tasks_.emplace(t.id, std::move(t));
   }
 

@@ -61,8 +61,6 @@ struct AppConfig {
   /// A running task is slow when its elapsed time exceeds this multiple of
   /// the mean duration of its stage's finished tasks.
   double speculation_multiplier = 1.5;
-  /// Minimum finished siblings before durations are trusted.
-  int speculation_min_finished = 3;
 
   /// Steady-state retirement: destroy a job (stages and task records
   /// included) the moment it finishes, returning its memory to the
@@ -220,15 +218,29 @@ class Application final : public cluster::AppHandle {
   /// a kick candidate, stamp its idle time for tracing.
   void mark_free(ExecutorId exec);
   void launch(Task& t, ExecutorId exec);
-  void start_compute(Task& t);
   void finish_task(Task& t);
   /// Speculative execution: pick a slow running input task worth cloning
   /// onto an idle executor at `node`; invalid id when none qualifies.
   [[nodiscard]] TaskId pick_speculative(NodeId node) const;
   void launch_clone(Task& t, ExecutorId exec);
-  void start_clone_compute(Task& t);
-  /// An attempt (0 = primary, 1 = clone) delivered the task's result.
-  void finish_attempt(Task& t, int attempt);
+
+  // --- attempt operations: `i` is the slot, kPrimary or kClone -----------
+  /// Input tasks: read the block onto attempt `i`'s node from its disk, a
+  /// cached copy or a remote replica.
+  void start_read(Task& t, int i);
+  void start_compute(Task& t, int i);
+  /// Attempt `i` delivered the task's result; the other one is aborted.
+  void finish_attempt(Task& t, int i);
+  /// Cancel attempt `i`'s timer and flow; free its executor if alive.
+  void abort_attempt(Task& t, int i);
+  /// Schedule attempt `i`'s timer and record its snapshot descriptor.
+  void arm_timer(Task& t, int i, TimerKind kind, double delay);
+  /// The epoch-guarded timer and flow callbacks: live scheduling and
+  /// snapshot restore build them from the same descriptor data.
+  [[nodiscard]] sim::EventFn timer_fn(TaskId id, std::uint32_t epoch,
+                                      TimerKind kind, int i);
+  [[nodiscard]] net::Network::CompletionFn flow_fn(const net::FlowLabel& label,
+                                                   NodeId dst);
   void complete_stage(Job& j, Stage& stage);
   void mark_stage_ready(Job& j, Stage& stage);
   void finish_job(Job& j);
@@ -236,15 +248,6 @@ class Application final : public cluster::AppHandle {
   void arm_retry(SimTime at);
   /// The pending retry event's body.
   void retry_fired();
-  /// The epoch-guarded callback a (kind, spec) timer descriptor stands for
-  /// — shared by live scheduling and snapshot re-arm so both paths run
-  /// byte-identical logic.
-  [[nodiscard]] sim::EventFn timer_fn(TaskId id, std::uint32_t epoch,
-                                      TimerKind kind, bool spec);
-  /// Schedule a primary/clone attempt timer and record its snapshot
-  /// descriptor (kind, time, original sequence number).
-  void arm_task_timer(Task& t, TimerKind kind, double delay);
-  void arm_spec_timer(Task& t, TimerKind kind, double delay);
   [[nodiscard]] int count_ready_tasks() const;
   /// True when an *unallocated* executor sits on a replica node of a ready
   /// input task that no held executor can serve locally.  Reuses the last

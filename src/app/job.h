@@ -5,8 +5,14 @@
 // intermediate volume and downstream tasks read from many nodes anyway).
 // Downstream stages shuffle a per-workload fraction of the input bytes from
 // the nodes where the previous stage ran.
+//
+// A running task has a primary attempt and, when a slow input task is
+// cloned (straggler mitigation), a second one.  Both are `Attempt`s and
+// share every operation; the first to finish wins, the loser is aborted,
+// and a winning clone is moved into the primary slot.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -26,11 +32,29 @@ using TaskTable = std::unordered_map<TaskId, Task>;
 
 enum class TaskState { kBlocked, kReady, kRunning, kFinished };
 
-/// Which callback a task attempt's pending simulator timer will run.
-/// Recorded alongside every scheduled timer so a snapshot can re-arm the
-/// event from data (closures cannot be serialized): kRead completes the
-/// attempt's local read and starts compute, kCompute finishes the attempt.
+/// Which callback an attempt's pending simulator timer will run, recorded
+/// so a snapshot can re-arm it from data (closures cannot be serialized):
+/// kRead completes a local read and starts compute, kCompute finishes.
 enum class TimerKind : std::uint8_t { kNone = 0, kRead = 1, kCompute = 2 };
+
+/// Task::attempts slots: the primary and its speculative clone.
+inline constexpr int kPrimary = 0;
+inline constexpr int kClone = 1;
+
+/// One attempt at running a task, with its cancellable in-flight work.
+struct Attempt {
+  ExecutorId executor;
+  bool local = false;
+  /// Snapshot descriptor of `event`: its callback (kNone when no timer is
+  /// armed), time and original sequence number.
+  TimerKind kind = TimerKind::kNone;
+  SimTime time = 0.0;
+  std::uint64_t seq = 0;
+  sim::EventHandle event;  ///< local read or compute timer
+  FlowId flow;             ///< remote input read in flight
+  /// When the compute phase began (read/fetch done); read by tracing only.
+  SimTime compute_start = 0.0;
+};
 
 struct Task {
   TaskId id;
@@ -44,14 +68,9 @@ struct Task {
   double compute_secs = 0.0;
 
   TaskState state = TaskState::kBlocked;
-  ExecutorId executor;
-  bool local = false;
   SimTime ready_time = 0.0;
   SimTime launch_time = 0.0;
   SimTime finish_time = 0.0;
-  /// When the winning attempt's compute phase began (read/fetch done).
-  /// Inert bookkeeping for the tracing layer's read-vs-compute split.
-  SimTime compute_start = 0.0;
   /// Shuffle fetches still in flight (downstream tasks).
   int fetches_outstanding = 0;
   /// Downstream tasks: nodes this task pulls its shuffle input from,
@@ -61,27 +80,10 @@ struct Task {
   /// Incremented whenever the task is reset (failure re-execution); stale
   /// event/flow callbacks compare epochs and drop themselves.
   std::uint32_t epoch = 0;
-
-  // --- cancellable in-flight work of the primary attempt ------------------
-  sim::EventHandle pending_event;  ///< local read or compute timer
-  FlowId pending_flow;             ///< remote input read in flight
-  /// Snapshot descriptor of pending_event: which callback it runs and its
-  /// (time, original sequence number).  kNone whenever no timer is armed.
-  TimerKind pending_kind = TimerKind::kNone;
-  SimTime pending_time = 0.0;
-  std::uint64_t pending_seq = 0;
-
-  // --- speculative clone (input tasks only; straggler mitigation) ---------
+  /// attempts[kClone] is live (input tasks only).
   bool spec_active = false;
-  ExecutorId spec_executor;
-  bool spec_local = false;
-  sim::EventHandle spec_event;
-  FlowId spec_flow;
-  SimTime spec_compute_start = 0.0;  ///< adopted into compute_start on a win
-  /// Snapshot descriptor of spec_event, mirroring pending_kind/time/seq.
-  TimerKind spec_kind = TimerKind::kNone;
-  SimTime spec_time = 0.0;
-  std::uint64_t spec_seq = 0;
+  /// attempts[kPrimary] is the primary attempt (the winner once finished).
+  std::array<Attempt, 2> attempts;
 
   [[nodiscard]] bool is_input() const { return stage == 0; }
 };

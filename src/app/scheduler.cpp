@@ -83,7 +83,7 @@ std::optional<TaskScheduler::Pick> TaskScheduler::pick(
 
 void TaskScheduler::on_launched(Job& job, const Task& task) {
   if (!task.is_input()) return;
-  if (task.local) {
+  if (task.attempts[kPrimary].local) {
     // Delay scheduling resets the wait once the job launches locally; a
     // non-local launch keeps the expired timer so follow-up tasks in the
     // same job do not each wait the full period again.

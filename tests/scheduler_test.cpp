@@ -222,7 +222,7 @@ TEST(DelayScheduler, LocalLaunchResetsWait) {
   Job& j = f.add_job();
   Task& t = f.add_input_task(j, f.add_block({NodeId(1)}), TaskState::kReady);
   j.wait_start = 5.0;
-  t.local = true;
+  t.attempts[kPrimary].local = true;
   const ReadyTaskIndex index(f.dfs());
   TaskScheduler sched(Delay(), f.dfs(), index);
   sched.on_launched(j, t);
@@ -234,7 +234,7 @@ TEST(DelayScheduler, NonLocalLaunchKeepsExpiredTimer) {
   Job& j = f.add_job();
   Task& t = f.add_input_task(j, f.add_block({NodeId(5)}), TaskState::kReady);
   j.wait_start = 5.0;
-  t.local = false;
+  t.attempts[kPrimary].local = false;
   const ReadyTaskIndex index(f.dfs());
   TaskScheduler sched(Delay(), f.dfs(), index);
   sched.on_launched(j, t);

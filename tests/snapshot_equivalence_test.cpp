@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "common/snapshot.h"
+#include "obs/trace.h"
 #include "result_equal.h"
 #include "workload/harness.h"
 
@@ -145,6 +146,50 @@ TEST(SnapshotEquivalence, RunCountersAgreeWithOwningLayers) {
       EXPECT_EQ(r->net_stats.recomputes_batched,
                 r->net_stats.recomputes_requested -
                     r->net_stats.recomputes_run);
+    }
+  }
+}
+
+// Task attempts across save/restore.  A traced straight run yields the
+// instants at which speculative clones launched; saving exactly there
+// leaves the new clone's input read live in the snapshot — a network flow
+// (kFlowCloneRead) for a remote clone, a read timer for a local one — next
+// to its primary.  Each restore must finish bit-identical to the straight
+// run, through clone wins, primary wins and failure resets alike.
+TEST(SnapshotEquivalence, RestoresAtCloneLaunchesIdentically) {
+  constexpr ManagerKind kManager = ManagerKind::kCustody;
+  ExperimentConfig config = BaseConfig(kManager, 2460);
+  config.speculation_multiplier = 1.2;
+  ExperimentConfig traced = config;
+  traced.tracing.enabled = true;
+  const ExperimentResult traced_run = RunExperiment(traced);
+  ASSERT_NE(traced_run.trace, nullptr);
+  std::vector<SimTime> local_launches;
+  std::vector<SimTime> remote_launches;
+  int resets = 0;
+  for (const obs::TraceEvent& e : traced_run.trace->events()) {
+    resets += e.kind == obs::EventKind::kTaskReset ? 1 : 0;
+    if (e.kind != obs::EventKind::kSpecLaunch) continue;
+    (e.aux == 1 ? local_launches : remote_launches).push_back(e.t0);
+  }
+
+  const SubstrateSnapshot snapshot = SubstrateSnapshot::Build(config);
+  const ExperimentResult straight = RunOnSnapshot(snapshot, kManager);
+  // Not vacuous: clones of both kinds launched, some won, and the failure
+  // wave reset running work.
+  ASSERT_FALSE(local_launches.empty());
+  ASSERT_FALSE(remote_launches.empty());
+  ASSERT_EQ(straight.speculative_launches,
+            local_launches.size() + remote_launches.size());
+  ASSERT_GT(straight.speculative_wins, 0u);
+  ASSERT_EQ(straight.nodes_failed, 3);
+  ASSERT_GT(resets, 0);
+  for (const auto* launches : {&local_launches, &remote_launches}) {
+    for (const SimTime at : *launches) {
+      SCOPED_TRACE(std::string(launches == &local_launches ? "local"
+                                                           : "remote") +
+                   " clone launched at " + std::to_string(at));
+      ExpectResultsIdentical(RunWithRestore(snapshot, kManager, at), straight);
     }
   }
 }
